@@ -33,16 +33,15 @@
 //                   snapshot (pipe it to a file for `nxdtool loadstats`).
 //                   Any of the three flags enables the section; the default
 //                   run is untouched.
-//               [--metrics-every=N] [--metrics-out=<path>] [--trace=<path.jsonl>]
-//                   observability run: every module shares one obs registry +
-//                   query trace.  --metrics-every=N prints a live Prometheus
-//                   snapshot every N ingest batches of the §4 batched paths
-//                   (--durable / --threads>1) and once after the run;
-//                   --metrics-out writes the final snapshot in the
-//                   "nxd-metrics v1" text format (`nxdtool metrics <file>`
-//                   re-renders it); --trace dumps the query-trace ring as
-//                   JSONL.  All three default off — the default run's output
-//                   is byte-identical to a build without them.
+//               [--metrics-every=N] [--metrics-out=<path>]
+//                   observability run: every module shares one obs registry.
+//                   --metrics-every=N prints a live Prometheus snapshot every
+//                   N ingest batches of the §4 batched paths (--durable /
+//                   --threads>1) and once after the run; --metrics-out writes
+//                   the final snapshot in the "nxd-metrics v1" text format
+//                   (`nxdtool metrics <file>` re-renders it).  Both default
+//                   off — the default run's output is byte-identical to a
+//                   build without them.
 //               [--chaos-upstream=<flap|outage|slow>] [--chaos-seed=7]
 //                   upstream-health demo: resolve a query stream against a
 //                   three-replica authoritative farm whose primary flaps,
@@ -62,9 +61,12 @@
 //                   the regression-tracked version (BENCH_attack.json).
 //               [--slo-report] [--spans=<path.jsonl>] [--timeseries=<path>]
 //                   streaming-telemetry layer.  Any of the three runs the
-//                   instrumented path: per-query causal spans (sampling 1.0,
-//                   tracer seed = --seed) plus a windowed time series pumped
-//                   from the shared registry.  --slo-report prints the
+//                   instrumented path: causal spans from every layer into one
+//                   SpanTracer (sampling 1.0, tracer seed = --seed) — commit
+//                   groups and checkpoints, per-query resolve trees with
+//                   retry/timeout points, injected faults, honeypot
+//                   connections, sheds and capture drops — plus a windowed
+//                   time series pumped from the shared registry.  --slo-report prints the
 //                   end-of-run SLO burn-rate + NXDomain-anomaly summary and
 //                   the span critical-path table; --spans / --timeseries
 //                   write the raw exports (`nxdtool spans|slo|top` re-read
@@ -93,7 +95,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "honeypot/server.hpp"
 #include "analysis/scale.hpp"
 #include "analysis/security.hpp"
@@ -182,7 +183,6 @@ int main(int argc, char** argv) {
   bool overload_run = false;
   std::uint64_t metrics_every = 0;
   std::string metrics_out;
-  std::string trace_path;
   std::string attack_mode;
   std::string chaos_upstream;
   bool slo_report = false;
@@ -218,7 +218,6 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
       metrics_out = argv[i] + 14;
     }
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
     if (std::strncmp(argv[i], "--attack=", 9) == 0) attack_mode = argv[i] + 9;
     if (std::strcmp(argv[i], "--slo-report") == 0) slo_report = true;
     if (std::strncmp(argv[i], "--spans=", 8) == 0) spans_path = argv[i] + 8;
@@ -332,14 +331,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // One registry + trace shared by every instrumented module; with all the
-  // flags off nothing binds to them and the run's output is untouched.
+  // One registry + span tracer shared by every instrumented module; with all
+  // the flags off nothing binds to them and the run's output is untouched.
   const bool telemetry_enabled =
       slo_report || !spans_path.empty() || !timeseries_path.empty();
-  const bool obs_enabled = metrics_every > 0 || !metrics_out.empty() ||
-                           !trace_path.empty() || telemetry_enabled;
+  const bool obs_enabled =
+      metrics_every > 0 || !metrics_out.empty() || telemetry_enabled;
   obs::MetricsRegistry registry;
-  obs::QueryTrace trace(65'536);
   obs::SpanTracer::Config span_config;
   span_config.seed = seed;
   span_config.capacity = 1 << 16;
@@ -377,7 +375,7 @@ int main(int argc, char** argv) {
                    durable_dir.c_str());
       return 1;
     }
-    if (obs_enabled) durable->bind_metrics(registry, &trace);
+    if (obs_enabled) durable->bind_metrics(registry);
     if (telemetry_enabled) durable->trace_spans(&spans);
     const auto& recovery = durable->recovery();
     if (recovery.snapshot_loaded || recovery.replayed_batches > 0) {
@@ -429,7 +427,7 @@ int main(int argc, char** argv) {
     util::WorkerPool pool(threads);
     const auto observations = stream.all_parallel(pool);
     pdns::ShardedStore sharded(threads);
-    if (obs_enabled) sharded.bind_metrics(registry, &trace);
+    if (obs_enabled) sharded.bind_metrics(registry);
     if (metrics_every > 0) {
       // Batched ingest so the periodic emission has batch boundaries to fire
       // on; each shard still sees its observations in stream order, so the
@@ -617,11 +615,14 @@ int main(int argc, char** argv) {
 
     pdns::PassiveDnsStore chaos_store;
     if (obs_enabled) {
-      resolver.bind_metrics(registry, &trace);
-      network.bind_metrics(registry, &trace);
+      resolver.bind_metrics(registry);
+      network.bind_metrics(registry);
       chaos_store.bind_metrics(registry, {{"stage", "chaos"}});
     }
-    if (telemetry_enabled) resolver.trace_spans(&spans);
+    if (telemetry_enabled) {
+      resolver.trace_spans(&spans);
+      network.trace_spans(&spans);
+    }
     resolver.set_observer([&chaos_store](const dns::Message& q,
                                          const dns::Message& r, bool,
                                          util::SimTime when) {
@@ -711,10 +712,13 @@ int main(int argc, char** argv) {
     resolver::RecursiveResolver resolver(hierarchy);
     resolver.use_network(network, farm, resolver::RetryPolicy{}, chaos_seed);
     if (obs_enabled) {
-      resolver.bind_metrics(registry, &trace);
-      network.bind_metrics(registry, &trace);
+      resolver.bind_metrics(registry);
+      network.bind_metrics(registry);
     }
-    if (telemetry_enabled) resolver.trace_spans(&spans);
+    if (telemetry_enabled) {
+      resolver.trace_spans(&spans);
+      network.trace_spans(&spans);
+    }
     resolver::HealthConfig health;
     health.breaker.failure_threshold = 2;
     health.breaker.open_duration = 8;
@@ -809,10 +813,13 @@ int main(int argc, char** argv) {
         std::max<util::SimTime>(1, (drain_ms + 999) / 1'000);
     ol_server.enable_overload(guard);
     if (obs_enabled) {
-      ol_server.gate()->bind_metrics(registry, &trace);
-      ol_recorder.bind_metrics(registry, &trace);
+      ol_server.gate()->bind_metrics(registry);
+      ol_recorder.bind_metrics(registry);
     }
-    if (telemetry_enabled) ol_server.trace_spans(&spans);
+    if (telemetry_enabled) {
+      ol_server.trace_spans(&spans);
+      ol_recorder.trace_spans(&spans);
+    }
 
     util::SimClock ol_clock;
     util::Rng flood(seed);
@@ -915,14 +922,6 @@ int main(int argc, char** argv) {
     std::printf("metrics snapshot written to %s "
                 "(render with `nxdtool metrics %s`)\n",
                 metrics_out.c_str(), metrics_out.c_str());
-  }
-  if (!trace_path.empty()) {
-    std::ofstream out(trace_path, std::ios::binary);
-    out << trace.to_jsonl();
-    std::printf("query trace written to %s (%llu events, %llu dropped)\n",
-                trace_path.c_str(),
-                static_cast<unsigned long long>(trace.total_emitted()),
-                static_cast<unsigned long long>(trace.dropped()));
   }
   if (telemetry_enabled) {
     emit_telemetry(spans, timeseries, slo_report, spans_path,

@@ -11,7 +11,7 @@
 #include "net/endpoint.hpp"
 #include "net/fault.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "util/civil_time.hpp"
 #include "util/histogram.hpp"
 
@@ -99,9 +99,13 @@ class TrafficRecorder {
   void clear();
 
   /// Mirror capture-plane counters into a shared registry (current values
-  /// carry over) and optionally trace capture drops.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// carry over).
+  void bind_metrics(obs::MetricsRegistry& registry);
+
+  /// Record each capture drop as a zero-duration "capture_drop" root span
+  /// (value = payload bytes lost, detail = destination port), keyed by the
+  /// drop count.  nullptr stops.
+  void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
  private:
   struct Metrics {
@@ -115,7 +119,7 @@ class TrafficRecorder {
   };
 
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
+  obs::SpanTracer* spans_ = nullptr;
   std::vector<TrafficRecord> records_;
   util::Counter port_counts_;
   net::FaultPlan* fault_plan_ = nullptr;

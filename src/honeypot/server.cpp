@@ -53,9 +53,16 @@ const char* expire_reason_name(ExpireReason reason) {
   return "expire";
 }
 
-}  // namespace
-
-namespace {
+const char* shed_reason_name(AdmitDecision decision) {
+  switch (decision) {
+    case AdmitDecision::ShedCapacity: return "capacity";
+    case AdmitDecision::ShedRate: return "rate";
+    case AdmitDecision::ShedDraining: return "draining";
+    case AdmitDecision::ShedPressure: return "pressure";
+    case AdmitDecision::Accept: break;
+  }
+  return "accept";
+}
 
 std::vector<std::uint8_t> wire_bytes(const HttpResponse& response) {
   const std::string wire = response.serialize();
@@ -125,15 +132,15 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::handle_packet(
   if (gate_ != nullptr && packet.protocol == net::Protocol::TCP) {
     const auto admission = gate_->open(packet.src.ip, when);
     if (admission.decision != AdmitDecision::Accept) {
-      recorder_.note_shed_connection();
-      ++responses_;
-      return wire_bytes(
-          admission.decision == AdmitDecision::ShedRate
-              ? HttpResponse::too_many_requests(gate_->config().retry_after)
-              : HttpResponse::service_unavailable(gate_->config().retry_after));
+      return refuse(admission.decision, when);
     }
+    const obs::SpanId span = open_span(admission.id, packet.src, when);
     auto reply = process_packet(packet, when);
     gate_->close(admission.id, /*completed=*/true);
+    if (spans_ != nullptr) {
+      spans_->end(span, when, static_cast<std::int64_t>(packet.payload.size()),
+                  "complete");
+    }
     return reply;
   }
   return process_packet(packet, when);
@@ -220,6 +227,27 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::process_packet(
 
 // --------------------------------------------------- streaming connections
 
+obs::SpanId NxdHoneypot::open_span(std::uint64_t id, const net::Endpoint& src,
+                                   util::SimTime now) {
+  if (spans_ == nullptr) return {};
+  return spans_->trace_root(id, "conn", now, src.to_string());
+}
+
+std::vector<std::uint8_t> NxdHoneypot::refuse(AdmitDecision decision,
+                                              util::SimTime now) {
+  recorder_.note_shed_connection();
+  ++responses_;
+  const bool rate = decision == AdmitDecision::ShedRate;
+  if (spans_ != nullptr) {
+    const obs::SpanId s = spans_->trace_root(++shed_seq_, "conn_shed", now,
+                                             shed_reason_name(decision));
+    spans_->end(s, now, rate ? 429 : 503);
+  }
+  return wire_bytes(
+      rate ? HttpResponse::too_many_requests(gate_->config().retry_after)
+           : HttpResponse::service_unavailable(gate_->config().retry_after));
+}
+
 void NxdHoneypot::enable_overload(OverloadConfig config) {
   gate_ = std::make_unique<ConnectionGate>(config);
 }
@@ -236,12 +264,7 @@ NxdHoneypot::ConnOpen NxdHoneypot::conn_open(const net::Endpoint& src,
   const auto admission = gate_->open(src.ip, now);
   ConnOpen out;
   if (admission.decision != AdmitDecision::Accept) {
-    recorder_.note_shed_connection();
-    ++responses_;
-    out.response = wire_bytes(
-        admission.decision == AdmitDecision::ShedRate
-            ? HttpResponse::too_many_requests(gate_->config().retry_after)
-            : HttpResponse::service_unavailable(gate_->config().retry_after));
+    out.response = refuse(admission.decision, now);
     return out;
   }
   out.id = admission.id;
@@ -249,9 +272,7 @@ NxdHoneypot::ConnOpen NxdHoneypot::conn_open(const net::Endpoint& src,
   StreamConn conn;
   conn.src = src;
   conn.dst_port = dst_port;
-  if (spans_ != nullptr) {
-    conn.span = spans_->trace_root(admission.id, "conn", now, src.to_string());
-  }
+  conn.span = open_span(admission.id, src, now);
   streams_.emplace(admission.id, std::move(conn));
   return out;
 }

@@ -84,11 +84,12 @@ class NxdHoneypot {
   /// An empty function disables.
   void expose_slo(std::function<std::string()> provider);
 
-  /// Trace streaming-connection lifecycle: one root span per accepted
-  /// connection (name "conn", keyed by connection id, detail = source
-  /// endpoint), ended with detail "complete" / the expiry reason / "abort".
-  /// SimTime timestamps, so seeded runs export byte-stable spans.  nullptr
-  /// stops.
+  /// Trace gated connections: one root span per admitted connection,
+  /// streaming or one-shot (name "conn", keyed by connection id, detail =
+  /// source endpoint), ended with detail "complete" / the expiry reason /
+  /// "abort"; and one zero-duration "conn_shed" root per refused connection
+  /// (value = HTTP status, detail = shed reason).  SimTime timestamps, so
+  /// seeded runs export byte-stable spans.  nullptr stops.
   void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
   /// Handle one captured packet: record it, and if it parses as an HTTP
@@ -185,6 +186,13 @@ class NxdHoneypot {
 
   void record_partial(const StreamConn& conn, util::SimTime when);
 
+  /// Root "conn" span for an admitted connection (null when untraced).
+  obs::SpanId open_span(std::uint64_t id, const net::Endpoint& src,
+                        util::SimTime now);
+  /// Answer a connection the gate shed (429 rate, 503 otherwise): count it
+  /// and record its "conn_shed" span.
+  std::vector<std::uint8_t> refuse(AdmitDecision decision, util::SimTime now);
+
   static bool headers_done(std::string_view raw);
   /// Whether `raw` holds a complete request: terminated header block plus,
   /// when a Content-Length header is present, that many body bytes.
@@ -198,6 +206,7 @@ class NxdHoneypot {
   std::string admin_token_;
   std::map<std::string, HttpResponse> routes_;
   std::uint64_t responses_ = 0;
+  std::uint64_t shed_seq_ = 0;  // span sampling key for conn_shed roots
   std::unique_ptr<ConnectionGate> gate_;
   std::unordered_map<std::uint64_t, StreamConn> streams_;
 };

@@ -10,8 +10,7 @@ void SimNetwork::detach(const Endpoint& ep, Protocol proto) {
   services_.erase(ServiceKey{ep, proto});
 }
 
-void SimNetwork::bind_metrics(obs::MetricsRegistry& registry,
-                              obs::QueryTrace* trace) {
+void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
   m_.delivered = registry.counter("nxd_net_packets_delivered_total",
                                   "Packets handed to an attached service");
   m_.dropped = registry.counter("nxd_net_packets_dropped_total",
@@ -37,7 +36,6 @@ void SimNetwork::bind_metrics(obs::MetricsRegistry& registry,
   m_.dropped.inc(dropped_);
   mirror_faults(FaultStats{}, fault_plan_.stats());
   metrics_bound_ = true;
-  trace_ = trace;
 }
 
 void SimNetwork::mirror_faults(const FaultStats& before,
@@ -47,9 +45,9 @@ void SimNetwork::mirror_faults(const FaultStats& before,
                           const char* kind) {
     if (a <= b) return;  // no new faults (or the plan was reset/swapped)
     c.inc(a - b);
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::FaultInject, 0,
-                   static_cast<std::int64_t>(a - b), kind);
+    if (spans_ != nullptr) {
+      const obs::SpanId s = spans_->trace_root(++fault_seq_, "fault", now, kind);
+      spans_->end(s, now, static_cast<std::int64_t>(a - b));
     }
   };
   mirror(before.injected_drops, after.injected_drops, m_.fault_drops, "drop");
@@ -72,10 +70,11 @@ std::optional<std::vector<std::uint8_t>> SimNetwork::send(const SimPacket& packe
   last_delay_ = 0;
   if (!fault_plan_.empty()) {
     SimPacket shaped = packet;
-    const FaultStats before = metrics_bound_ ? fault_plan_.stats() : FaultStats{};
+    const bool observed = metrics_bound_ || spans_ != nullptr;
+    const FaultStats before = observed ? fault_plan_.stats() : FaultStats{};
     const FaultVerdict verdict = fault_plan_.apply(
         packet.dst, shaped.payload, clock_ != nullptr ? clock_->now() : 0);
-    if (metrics_bound_) mirror_faults(before, fault_plan_.stats());
+    if (observed) mirror_faults(before, fault_plan_.stats());
     if (verdict.drop) return std::nullopt;
     last_delay_ = verdict.delay;
     const auto it = services_.find(ServiceKey{packet.dst, packet.protocol});

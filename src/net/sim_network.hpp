@@ -22,7 +22,7 @@
 #include "net/endpoint.hpp"
 #include "net/fault.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "util/civil_time.hpp"
 
 namespace nxd::net {
@@ -91,12 +91,16 @@ class SimNetwork {
   std::uint64_t delivered() const noexcept { return delivered_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Mirror delivery and fault-injection counts into a shared registry and
-  /// optionally trace each injected fault.  Fault counters mirror per-send
-  /// deltas of the plan's own stats, so they stay monotonic even when a
-  /// caller reset_stats()s or swaps the plan mid-run.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// Mirror delivery and fault-injection counts into a shared registry.
+  /// Fault counters mirror per-send deltas of the plan's own stats, so they
+  /// stay monotonic even when a caller reset_stats()s or swaps the plan
+  /// mid-run.
+  void bind_metrics(obs::MetricsRegistry& registry);
+
+  /// Record each injected fault as a zero-duration "fault" root span
+  /// (value = count, detail = fault kind), keyed by a per-network fault
+  /// sequence number.  nullptr stops.
+  void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
  private:
   struct Metrics {
@@ -122,7 +126,8 @@ class SimNetwork {
   std::uint64_t dropped_ = 0;
   bool metrics_bound_ = false;
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
+  obs::SpanTracer* spans_ = nullptr;
+  std::uint64_t fault_seq_ = 0;  // span sampling key for fault roots
 };
 
 }  // namespace nxd::net

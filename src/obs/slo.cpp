@@ -102,21 +102,21 @@ const SloReport& SloMonitor::evaluate(const TimeSeriesStore& ts,
   // Rising-edge alert events.
   const bool page = r.any_page();
   const bool ticket = r.any_ticket();
+  const auto alert = [this, now](std::int64_t severity, const char* level,
+                                 bool availability) {
+    if (spans_ == nullptr) return;
+    const SpanId s = spans_->trace_root(
+        pages_ + tickets_, "slo_alert", now,
+        std::string(level) + (availability ? "availability" : "latency"));
+    spans_->end(s, now, severity);
+  };
   if (page && !page_was_firing_) {
     ++pages_;
-    if (trace_ != nullptr) {
-      const char* which = r.availability.page.firing ? "availability" : "latency";
-      trace_->emit(now, TraceKind::SloAlert, pages_, 2,
-                   std::string("page:") + which);
-    }
+    alert(2, "page:", r.availability.page.firing);
   }
   if (ticket && !ticket_was_firing_) {
     ++tickets_;
-    if (trace_ != nullptr) {
-      const char* which = r.availability.ticket.firing ? "availability" : "latency";
-      trace_->emit(now, TraceKind::SloAlert, tickets_, 1,
-                   std::string("ticket:") + which);
-    }
+    alert(1, "ticket:", r.availability.ticket.firing);
   }
   page_was_firing_ = page;
   ticket_was_firing_ = ticket;
@@ -247,13 +247,12 @@ AnomalyVerdict NxAnomalyDetector::update(util::SimTime now, double share,
     if (next == AnomalyState::Spike) ++spikes_;
     if (next == AnomalyState::Flood) ++floods_;
     if (next == AnomalyState::Drift) ++drifts_;
-    if (trace_ != nullptr &&
+    if (spans_ != nullptr &&
         (next == AnomalyState::Spike || next == AnomalyState::Flood ||
          next == AnomalyState::Drift)) {
-      trace_->emit(now, TraceKind::Anomaly,
-                   static_cast<std::uint64_t>(evaluations_),
-                   static_cast<std::int64_t>(share * 10000.0),
-                   to_string(next));
+      const SpanId s =
+          spans_->trace_root(evaluations_, "anomaly", now, to_string(next));
+      spans_->end(s, now, static_cast<std::int64_t>(share * 10000.0));
     }
     if (pressure_ != nullptr) {
       if (next == AnomalyState::Flood) {

@@ -32,7 +32,7 @@
 
 #include "obs/pressure.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "util/civil_time.hpp"
 
 namespace nxd::obs {
@@ -87,8 +87,9 @@ class SloMonitor {
  public:
   explicit SloMonitor(SloConfig config = {});
 
-  /// Evaluate both objectives at `now`; emits SloAlert trace events on
-  /// page/ticket rising edges when a trace sink is attached.
+  /// Evaluate both objectives at `now`; records a zero-duration
+  /// "slo_alert" root span on each page/ticket rising edge when a tracer is
+  /// attached (value = severity, 2 page / 1 ticket; detail = which).
   const SloReport& evaluate(const TimeSeriesStore& ts, util::SimTime now);
 
   const SloReport& last() const noexcept { return last_; }
@@ -96,12 +97,12 @@ class SloMonitor {
   std::uint64_t pages_fired() const noexcept { return pages_; }
   std::uint64_t tickets_fired() const noexcept { return tickets_; }
 
-  void set_trace(QueryTrace* trace) noexcept { trace_ = trace; }
+  void trace_spans(SpanTracer* spans) noexcept { spans_ = spans; }
 
  private:
   SloConfig config_;
   SloReport last_;
-  QueryTrace* trace_ = nullptr;
+  SpanTracer* spans_ = nullptr;
   bool page_was_firing_ = false;
   bool ticket_was_firing_ = false;
   std::uint64_t pages_ = 0;
@@ -160,7 +161,9 @@ class NxAnomalyDetector {
   std::uint64_t drifts() const noexcept { return drifts_; }
   std::uint64_t evaluations() const noexcept { return evaluations_; }
 
-  void set_trace(QueryTrace* trace) noexcept { trace_ = trace; }
+  /// Record a zero-duration "anomaly" root span on every transition into
+  /// Spike/Flood/Drift (value = share × 1e4, detail = state).  nullptr stops.
+  void trace_spans(SpanTracer* spans) noexcept { spans_ = spans; }
   /// While in Flood, pin `pressure`'s external floor at config.flood_floor;
   /// cleared when the detector leaves Flood.
   void attach_pressure(PressureSignal* pressure) noexcept {
@@ -183,7 +186,7 @@ class NxAnomalyDetector {
   std::uint64_t floods_ = 0;
   std::uint64_t drifts_ = 0;
   std::uint64_t evaluations_ = 0;
-  QueryTrace* trace_ = nullptr;
+  SpanTracer* spans_ = nullptr;
   PressureSignal* pressure_ = nullptr;
 };
 

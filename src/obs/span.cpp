@@ -33,6 +33,16 @@ void append_json_escaped(std::string* out, const std::string& v) {
   }
 }
 
+}  // namespace
+
+bool cap_detail(std::string* detail) {
+  if (detail->size() <= kDetailCap) return false;
+  detail->resize(kDetailCap);
+  return true;
+}
+
+namespace {
+
 std::string capped(std::string_view detail, std::uint64_t* truncated,
                    Counter* metric) {
   std::string s{detail};
@@ -193,6 +203,13 @@ void SpanTracer::end_sampled(SpanId id, std::int64_t end_time,
   if (!detail.empty()) {
     rec.detail = capped(detail, &truncated_, &m_details_truncated_);
   }
+  auto named = per_name_.begin();
+  while (named != per_name_.end() && named->first != rec.name) ++named;
+  if (named == per_name_.end()) {
+    per_name_.emplace_back(rec.name, 1);
+  } else {
+    ++named->second;
+  }
   ring_[recorded_ % config_.capacity] = std::move(rec);
   ++recorded_;
   m_spans_recorded_.inc();
@@ -219,6 +236,14 @@ std::uint64_t SpanTracer::traces_started() const {
 std::uint64_t SpanTracer::spans_recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
   return recorded_;
+}
+
+std::uint64_t SpanTracer::recorded(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [known, count] : per_name_) {
+    if (known == name) return count;
+  }
+  return 0;
 }
 
 std::uint64_t SpanTracer::spans_dropped() const {
@@ -344,6 +369,7 @@ void SpanTracer::clear() {
   traces_started_ = 0;
   recorded_ = 0;
   truncated_ = 0;
+  per_name_.clear();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,24 +1,28 @@
-// Causal span tracing with deterministic sampling.
+// Causal span tracing with deterministic sampling — the one trace model.
 //
 // A *trace* is one end-to-end unit of work (a client query, a honeypot
 // connection, a WAL commit group); a *span* is one timed stage inside it
 // (upstream try 2, wal_fsync, checkpoint).  Spans carry parent links, so an
 // offline pass can reconstruct the stage tree and attribute latency: "p99
-// queries spend X in upstream try 2, Y in WAL ack".
+// queries spend X in upstream try 2, Y in WAL ack".  Point facts (a retry,
+// a timeout, a shed connection, an injected fault, an SLO alert) are
+// zero-duration spans: a child via event(), or a root via trace_root + end.
 //
 // Sampling is head-based and deterministic: the decision for a trace is a
 // pure function of (seed, key) where key is the component's stable id for
 // the unit of work (resolver query seq, connection id, commit-group seq).
-// The same seed therefore samples the same traces on every run, which keeps
-// the exported JSONL byte-stable under sim time and lets tests reconcile
-// sampled span counts against registry counters exactly.
+// The trace id additionally mixes in the root span's name, because every
+// component numbers its own work from 1 — without the name, query 5 and
+// commit group 5 would share one trace tree.  The same seed therefore
+// samples the same traces on every run, which keeps the exported JSONL
+// byte-stable under sim time.
 //
 // Unsampled work costs one branch: `trace_root` returns a null SpanId and
 // every operation on a null id is a no-op, mirroring the null-handle rule of
-// MetricsRegistry.  Finished spans land in a bounded, drop-counted ring
-// (QueryTrace's overwrite-oldest discipline); unbounded per-name counters
-// are NOT kept here — reconciliation uses `traces_started()` /
-// `spans_recorded()` plus `spans_dropped()`.
+// MetricsRegistry.  Finished spans land in a bounded, drop-counted ring that
+// overwrites oldest-first.  An unbounded per-name count of recorded spans
+// (`recorded(name)`) survives wraparound, so at sampling 1.0 span counts
+// reconcile exactly against registry counters however small the ring is.
 //
 // Timestamps are int64 in whatever unit the emitting layer uses: SimTime
 // seconds on sim-driven paths (resolver, honeypot — deterministic), or
@@ -31,13 +35,22 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"  // kDetailCap / cap_detail, shared with QueryTrace
-#include "util/rng.hpp"   // SplitMix64 for the inline sampling hash
+#include "util/rng.hpp"  // SplitMix64 / fnv1a for the inline sampling hash
 
 namespace nxd::obs {
+
+/// Hard cap on SpanRecord detail strings, in bytes (DESIGN.md §4k).  A
+/// water-torture flood of maximum-length random qnames must not be able to
+/// bloat the bounded ring: with the cap, ring memory is
+/// O(capacity × kDetailCap) regardless of workload.
+constexpr std::size_t kDetailCap = 128;
+
+/// Truncate `detail` to kDetailCap bytes in place; returns true if it cut.
+bool cap_detail(std::string* detail);
 
 /// Identity of an open span: (trace id, span id).  trace == 0 means "not
 /// sampled" and every SpanTracer operation on it is a no-op.
@@ -79,12 +92,16 @@ class SpanTracer {
            sample_hash(key) < threshold_;
   }
 
-  /// Trace id a sampled key maps to (nonzero, deterministic); 0 if the key
-  /// is not sampled.  Exposed so exemplars can tag histograms.
-  std::uint64_t trace_id_for(std::uint64_t key) const noexcept {
+  /// Trace id of the root `name` for a sampled key (nonzero, deterministic);
+  /// 0 if the key is not sampled.  The name is hashed in, so components
+  /// whose keys overlap still get separate trace trees.
+  std::uint64_t trace_id_for(std::uint64_t key,
+                             std::string_view name) const noexcept {
     const std::uint64_t h = sample_hash(key);
     if (threshold_ != ~std::uint64_t{0} && h >= threshold_) return 0;
-    return h == 0 ? 1 : h;  // trace id 0 is reserved for "unsampled"
+    util::SplitMix64 sm{h ^ util::fnv1a(name)};
+    const std::uint64_t id = sm.next();
+    return id == 0 ? 1 : id;  // trace id 0 is reserved for "unsampled"
   }
 
   /// Start a root span for the unit of work identified by `key`.  Returns a
@@ -92,7 +109,7 @@ class SpanTracer {
   /// never takes the lock.
   SpanId trace_root(std::uint64_t key, std::string_view name,
                     std::int64_t start, std::string_view detail = {}) {
-    const std::uint64_t trace_id = trace_id_for(key);
+    const std::uint64_t trace_id = trace_id_for(key, name);
     if (trace_id == 0) return {};
     return root_sampled(trace_id, name, start, detail);
   }
@@ -127,6 +144,8 @@ class SpanTracer {
   std::uint64_t spans_dropped() const;    // recorded spans lost to wraparound
   std::uint64_t spans_open() const;       // begun but not yet ended
   std::uint64_t details_truncated() const;
+  /// Spans named `name` moved into the ring, ever — not bounded by the ring.
+  std::uint64_t recorded(std::string_view name) const;
 
   double sample_rate() const noexcept { return config_.sample_rate; }
   std::uint64_t seed() const noexcept { return config_.seed; }
@@ -180,6 +199,10 @@ class SpanTracer {
   std::uint64_t traces_started_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t truncated_ = 0;
+  // recorded(name) counts.  A flat vector for the same reason as open_: a
+  // handful of distinct names, so a linear scan beats hashing, and a name
+  // allocates once on first sight, never per span.
+  std::vector<std::pair<std::string, std::uint64_t>> per_name_;
 
   Counter m_traces_started_;
   Counter m_spans_recorded_;

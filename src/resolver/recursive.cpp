@@ -91,8 +91,7 @@ void RecursiveResolver::acquire_metrics(obs::MetricsRegistry& registry) {
       "Simulated seconds spent per upstream resolution (network path)");
 }
 
-void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry,
-                                     obs::QueryTrace* trace) {
+void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry) {
   // Carry current counts into the shared registry so a late bind never
   // loses events.  (Histogram samples are not replayed; bind before traffic
   // when the latency distribution matters.)
@@ -116,7 +115,6 @@ void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry,
   m_.hedge_losses.inc(carried.hedge_losses);
   m_.breaker_skips.inc(carried.breaker_skips);
   own_registry_.reset();
-  trace_ = trace;
   bound_registry_ = &registry;
   if (health_ != nullptr) health_->bind_metrics(registry);
 }
@@ -157,24 +155,31 @@ void RecursiveResolver::use_network(net::SimNetwork& network,
   net_.rng = util::Rng(jitter_seed);
 }
 
+obs::SpanId RecursiveResolver::begin_try(const net::Endpoint& server,
+                                         int attempt, util::SimTime& now) {
+  if (attempt > 0) {
+    now += net_.policy.backoff_before(attempt, net_.rng);
+    m_.retries.inc();
+  }
+  if (!tier_span_.sampled()) return {};
+  const obs::SpanId try_span = spans_->begin(
+      tier_span_, "try" + std::to_string(attempt + 1), now, server.to_string());
+  if (attempt > 0) spans_->event(try_span, "retry", now, attempt);
+  return try_span;
+}
+
+void RecursiveResolver::note_timeout(obs::SpanId parent, util::SimTime at,
+                                     int attempt) {
+  m_.timeouts.inc();
+  if (parent.sampled()) spans_->event(parent, "timeout", at, attempt + 1);
+}
+
 std::optional<dns::Message> RecursiveResolver::query_endpoint(
     const net::Endpoint& server, const dns::Message& query,
     util::SimTime& now) {
   const auto wire = dns::encode(query);
   for (int attempt = 0; attempt < std::max(1, net_.policy.attempts); ++attempt) {
-    if (attempt > 0) {
-      now += net_.policy.backoff_before(attempt, net_.rng);
-      m_.retries.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now, obs::TraceKind::QueryRetry, query_seq_, attempt);
-      }
-    }
-    obs::SpanId try_span{};
-    if (tier_span_.sampled()) {
-      try_span = spans_->begin(tier_span_,
-                               "try" + std::to_string(attempt + 1), now,
-                               server.to_string());
-    }
+    const obs::SpanId try_span = begin_try(server, attempt, now);
     net::SimPacket packet;
     packet.protocol = net::Protocol::UDP;
     packet.src = kResolverSource;
@@ -191,11 +196,8 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint(
       }
       // Mangled or mismatched reply: treat like a lost packet and retry.
     }
-    m_.timeouts.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::QueryTimeout, query_seq_, attempt);
-    }
     now += net_.policy.try_timeout;
+    note_timeout(try_span, now, attempt);
     if (spans_ != nullptr) {
       spans_->end(try_span, now, -(attempt + 1), "timeout");
     }
@@ -238,19 +240,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
     const dns::Message& query, util::SimTime& now) {
   const auto wire = dns::encode(query);
   for (int attempt = 0; attempt < std::max(1, net_.policy.attempts); ++attempt) {
-    if (attempt > 0) {
-      now += net_.policy.backoff_before(attempt, net_.rng);
-      m_.retries.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now, obs::TraceKind::QueryRetry, query_seq_, attempt);
-      }
-    }
-    obs::SpanId try_span{};
-    if (tier_span_.sampled()) {
-      try_span = spans_->begin(tier_span_,
-                               "try" + std::to_string(attempt + 1), now,
-                               server.to_string());
-    }
+    const obs::SpanId try_span = begin_try(server, attempt, now);
     const util::SimTime try_timeout =
         health_->adaptive_timeout(server, net_.policy.try_timeout);
 
@@ -294,11 +284,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         if (spans_ != nullptr) spans_->end(try_span, now, attempt + 1);
         return primary;
       }
-      m_.timeouts.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now + try_timeout, obs::TraceKind::QueryTimeout,
-                     query_seq_, attempt);
-      }
+      note_timeout(try_span, now + try_timeout, attempt);
       health_->on_failure(server, now + try_timeout);
       now += try_timeout;
       if (spans_ != nullptr) {
@@ -332,11 +318,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
       if (hedged) {
         health_->on_success(*hedge_server, rtt2, now + hedged_done);
       } else {
-        m_.timeouts.inc();
-        if (trace_ != nullptr) {
-          trace_->emit(now + hedged_done, obs::TraceKind::QueryTimeout,
-                       query_seq_, attempt);
-        }
+        note_timeout(hedge_span, now + hedged_done, attempt);
         health_->on_failure(*hedge_server, now + hedged_done);
       }
 
@@ -353,11 +335,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         if (primary) {
           health_->on_success(server, rtt, now + primary_done);
         } else {
-          m_.timeouts.inc();
-          if (trace_ != nullptr) {
-            trace_->emit(now + primary_done, obs::TraceKind::QueryTimeout,
-                         query_seq_, attempt);
-          }
+          note_timeout(try_span, now + primary_done, attempt);
           health_->on_failure(server, now + primary_done);
         }
         now += hedged_done;
@@ -375,11 +353,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         return primary;
       }
       // Both sides died: wait out the slower deadline, then retry.
-      m_.timeouts.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now + primary_done, obs::TraceKind::QueryTimeout,
-                     query_seq_, attempt);
-      }
+      note_timeout(try_span, now + primary_done, attempt);
       health_->on_failure(server, now + primary_done);
       now += std::max(primary_done, hedged_done);
       if (spans_ != nullptr) {
@@ -621,19 +595,11 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
   const std::string qname_str = query.questions.empty()
                                     ? std::string()
                                     : query.questions.front().name.to_string();
-  if (trace_ != nullptr) {
-    trace_->emit(now, obs::TraceKind::QueryStart, query_seq_, 0, qname_str);
-  }
   root_span_ = spans_ != nullptr
                    ? spans_->trace_root(query_seq_, "resolve", now, qname_str)
                    : obs::SpanId{};
   if (query.questions.empty()) {
     ResolveOutcome out{dns::make_response(query, dns::RCode::FormErr)};
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::QueryResponse, query_seq_,
-                   static_cast<std::int64_t>(out.response.header.rcode),
-                   "formerr");
-    }
     if (spans_ != nullptr) {
       spans_->end(root_span_, now,
                   static_cast<std::int64_t>(out.response.header.rcode),
@@ -700,11 +666,6 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
     m_.servfail_responses.inc();
   }
 
-  if (trace_ != nullptr) {
-    trace_->emit(done, obs::TraceKind::QueryResponse, query_seq_,
-                 static_cast<std::int64_t>(response.header.rcode),
-                 from_cache ? "cache" : "upstream");
-  }
   if (observer_) observer_(query, response, from_cache, now);
   ResolveOutcome out{std::move(response)};
   out.from_cache = from_cache;

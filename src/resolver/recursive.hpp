@@ -19,7 +19,6 @@
 #include "net/sim_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "resolver/cache.hpp"
 #include "resolver/health.hpp"
 #include "resolver/hierarchy.hpp"
@@ -169,16 +168,16 @@ class RecursiveResolver {
   dns::RCode resolve_rcode(const dns::DomainName& name, util::SimTime now);
 
   /// Re-home the resolver's counters in a shared registry (current values
-  /// carry over) and optionally start emitting per-query trace events.  The
-  /// public stats() struct keeps working either way — its fields are views
-  /// over the registry handles.
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// carry over).  The public stats() struct keeps working either way — its
+  /// fields are views over the registry handles.
+  void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Start emitting causal spans: one sampled trace per client query (keyed
   /// by the query sequence number, so a fixed tracer seed samples the same
   /// queries every run) with child spans for cache hits, tier walks,
   /// per-upstream tries, hedge races, delegation fetches and CNAME hops.
+  /// Every retry and timeout the counters see is also a zero-duration
+  /// "retry" / "timeout" child of its try (a hedge's timeout, of the hedge).
   /// Sampled traces also tag the upstream latency histogram with an
   /// exemplar.  Pass nullptr to stop.
   void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
@@ -200,6 +199,13 @@ class RecursiveResolver {
   /// final response, or SERVFAIL when a tier never answered.  Advances
   /// `now` by the simulated time the walk consumed.
   dns::Message resolve_via_network(const dns::Message& query, util::SimTime& now);
+
+  /// Start try `attempt` against `server`: backoff and count a retry when
+  /// attempt > 0, then open the sampled try span with its "retry" child.
+  obs::SpanId begin_try(const net::Endpoint& server, int attempt,
+                        util::SimTime& now);
+  /// Count one timeout and mark it as a "timeout" child of `parent`.
+  void note_timeout(obs::SpanId parent, util::SimTime at, int attempt);
 
   /// Query one server endpoint under the retry policy.  Advances `now` per
   /// timeout/backoff; nullopt when every attempt was exhausted.
@@ -304,8 +310,7 @@ class RecursiveResolver {
   /// handles; keeps the un-instrumented construction path self-contained.
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
-  std::uint64_t query_seq_ = 0;  // trace correlation id for the live query
+  std::uint64_t query_seq_ = 0;  // span sampling key for the live query
 
   /// Span context for the live query.  The resolver is single-threaded per
   /// instance (like query_seq_), so plain members carry the causal chain:

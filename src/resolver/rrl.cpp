@@ -26,8 +26,7 @@ void ResponseRateLimiter::acquire_metrics(obs::MetricsRegistry& registry) {
       "Checks metered at an elevated cost by the degradation ladder");
 }
 
-void ResponseRateLimiter::bind_metrics(obs::MetricsRegistry& registry,
-                                       obs::QueryTrace* trace) {
+void ResponseRateLimiter::bind_metrics(obs::MetricsRegistry& registry) {
   const RrlStats carried = stats();
   acquire_metrics(registry);
   m_.checked.inc(carried.checked);
@@ -38,7 +37,6 @@ void ResponseRateLimiter::bind_metrics(obs::MetricsRegistry& registry,
   m_.table_overflow.inc(carried.table_overflow);
   m_.pressure_scaled.inc(carried.pressure_scaled);
   own_registry_.reset();
-  trace_ = trace;
 }
 
 const RrlStats& ResponseRateLimiter::stats() const noexcept {
@@ -54,10 +52,11 @@ const RrlStats& ResponseRateLimiter::stats() const noexcept {
 
 
 void ResponseRateLimiter::span_verdict(util::SimTime now, net::IPv4 source,
-                                       const char* verdict) {
+                                       const char* name,
+                                       std::string_view detail) {
   if (spans_ == nullptr) return;
   ++span_seq_;
-  const obs::SpanId s = spans_->trace_root(span_seq_, "rrl", now, verdict);
+  const obs::SpanId s = spans_->trace_root(span_seq_, name, now, detail);
   spans_->end(s, now, static_cast<std::int64_t>(source.addr));
 }
 
@@ -65,10 +64,7 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
   m_.checked.inc();
   if (config_.responses_per_second <= 0) {
     m_.passed.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::RrlPass, source.addr);
-    }
-    span_verdict(now, source, "pass");
+    span_verdict(now, source, "rrl_pass");
     return RrlVerdict::Pass;
   }
   auto it = sources_.find(source);
@@ -93,10 +89,7 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
       // unmetered rather than evicting live limiter state, but count it.
       m_.table_overflow.inc();
       m_.passed.inc();
-      if (trace_ != nullptr) {
-        trace_->emit(now, obs::TraceKind::RrlPass, source.addr);
-      }
-      span_verdict(now, source, "pass_overflow");
+      span_verdict(now, source, "rrl_pass", "overflow");
       return RrlVerdict::Pass;
     }
     it = sources_
@@ -119,27 +112,18 @@ RrlVerdict ResponseRateLimiter::check(net::IPv4 source, util::SimTime now) {
   }
   if (it->second.bucket.try_acquire(now, cost)) {
     m_.passed.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::RrlPass, source.addr);
-    }
-    span_verdict(now, source, "pass");
+    span_verdict(now, source, "rrl_pass");
     return RrlVerdict::Pass;
   }
   // Limited: slip every `slip`-th limited response, drop the rest.
   ++it->second.limited_count;
   if (config_.slip != 0 && it->second.limited_count % config_.slip == 0) {
     m_.slipped.inc();
-    if (trace_ != nullptr) {
-      trace_->emit(now, obs::TraceKind::RrlSlip, source.addr);
-    }
-    span_verdict(now, source, "slip");
+    span_verdict(now, source, "rrl_slip");
     return RrlVerdict::Slip;
   }
   m_.dropped.inc();
-  if (trace_ != nullptr) {
-    trace_->emit(now, obs::TraceKind::RrlDrop, source.addr);
-  }
-  span_verdict(now, source, "drop");
+  span_verdict(now, source, "rrl_drop");
   return RrlVerdict::Drop;
 }
 

@@ -35,7 +35,6 @@
 #include "obs/metrics.hpp"
 #include "obs/pressure.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "util/civil_time.hpp"
 #include "util/token_bucket.hpp"
 
@@ -87,9 +86,8 @@ class ResponseRateLimiter {
   const RrlStats& stats() const noexcept;
 
   /// Source the RrlStats fields from a shared registry (current values carry
-  /// over) and optionally trace every verdict (event id = source address).
-  void bind_metrics(obs::MetricsRegistry& registry,
-                    obs::QueryTrace* trace = nullptr);
+  /// over).
+  void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Subscribe to the system-wide degradation ladder: at pressure level L a
   /// response costs 1x/1.33x/2x/4x tokens, shrinking every source's
@@ -100,8 +98,10 @@ class ResponseRateLimiter {
     pressure_ = pressure;
   }
 
-  /// Emit sampled point spans (name "rrl", detail=verdict, value=source
-  /// address) keyed by the check sequence number, so a fixed tracer seed
+  /// Emit sampled zero-duration root spans, one per verdict, named
+  /// "rrl_pass" / "rrl_slip" / "rrl_drop" (value = source address; detail
+  /// "overflow" on a pass admitted unmetered because the source table was
+  /// full), keyed by the check sequence number, so a fixed tracer seed
   /// samples the same verdicts every run.  nullptr stops.
   void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
 
@@ -122,14 +122,14 @@ class ResponseRateLimiter {
   };
 
   void acquire_metrics(obs::MetricsRegistry& registry);
-  void span_verdict(util::SimTime now, net::IPv4 source, const char* verdict);
+  void span_verdict(util::SimTime now, net::IPv4 source, const char* name,
+                    std::string_view detail = {});
 
   RrlConfig config_;
   mutable RrlStats stats_;  // cache refreshed from the handles by stats()
   std::unordered_map<net::IPv4, Source, dns::IPv4Hash> sources_;
   std::unique_ptr<obs::MetricsRegistry> own_registry_;
   Metrics m_;
-  obs::QueryTrace* trace_ = nullptr;
   obs::SpanTracer* spans_ = nullptr;
   std::uint64_t span_seq_ = 0;  // sampling key for verdict spans
   const obs::PressureSignal* pressure_ = nullptr;

@@ -1,11 +1,11 @@
 // Cross-module observability tests: every instrumented layer bound to ONE
-// shared MetricsRegistry + QueryTrace, then
+// shared MetricsRegistry (and, where a test asks, one SpanTracer), then
 //   * the honeypot's admin-gated GET /metrics endpoint serves valid
 //     Prometheus text spanning pdns/resolver/honeypot/net,
 //   * the legacy stats structs (RecursiveStats, RrlStats, OverloadStats,
 //     recorder totals, LoadSnapshot) agree exactly with the registry,
-//   * a 10k-query run's trace reconciles against the counters even after the
-//     ring wrapped, and is byte-deterministic under a fixed seed,
+//   * a 10k-query run's spans reconcile against the counters even after the
+//     span ring wrapped, and are byte-deterministic under a fixed seed,
 //   * the offline snapshot-text path (`nxdtool metrics`) re-renders the same
 //     exposition bytes as the live endpoint.
 #include <gtest/gtest.h>
@@ -25,7 +25,7 @@
 #include "net/sim_network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "pdns/observation.hpp"
 #include "pdns/store.hpp"
 #include "resolver/health.hpp"
@@ -60,10 +60,11 @@ std::string status_line(const std::vector<std::uint8_t>& wire) {
   return text.substr(0, text.find("\r\n"));
 }
 
-/// Drive every instrumented module against one registry/trace pair.
+/// Drive every instrumented module against one registry (plus one span
+/// tracer once attach_spans() is called).
 struct ObservedWorld {
   obs::MetricsRegistry registry;
-  obs::QueryTrace trace;
+  obs::SpanTracer spans;
 
   resolver::DnsHierarchy hierarchy;
   net::SimNetwork network;
@@ -73,8 +74,10 @@ struct ObservedWorld {
   honeypot::TrafficRecorder recorder;
   std::unique_ptr<honeypot::NxdHoneypot> honeypot;
 
-  explicit ObservedWorld(std::uint64_t seed, std::size_t trace_capacity = 4096)
-      : trace(trace_capacity),
+  explicit ObservedWorld(std::uint64_t seed, std::size_t span_capacity = 4096)
+      : spans(obs::SpanTracer::Config{.sample_rate = 1.0,
+                                      .seed = seed,
+                                      .capacity = span_capacity}),
         // Near-zero refill so the limiter visibly trips even though the
         // workload advances simulated time between checks.
         rrl(resolver::RrlConfig{.responses_per_second = 0.001, .burst = 1.0}) {
@@ -105,12 +108,21 @@ struct ObservedWorld {
     guard.per_ip_burst = 1;
     honeypot->enable_overload(guard);
 
-    resolver->bind_metrics(registry, &trace);
-    network.bind_metrics(registry, &trace);
-    rrl.bind_metrics(registry, &trace);
+    resolver->bind_metrics(registry);
+    network.bind_metrics(registry);
+    rrl.bind_metrics(registry);
     store.bind_metrics(registry);
-    recorder.bind_metrics(registry, &trace);
-    honeypot->gate()->bind_metrics(registry, &trace);
+    recorder.bind_metrics(registry);
+    honeypot->gate()->bind_metrics(registry);
+  }
+
+  /// Route every layer's spans into the shared tracer.
+  void attach_spans() {
+    resolver->trace_spans(&spans);
+    network.trace_spans(&spans);
+    rrl.trace_spans(&spans);
+    recorder.trace_spans(&spans);
+    honeypot->trace_spans(&spans);
   }
 
   /// A deterministic mixed workload touching every instrumented path.
@@ -299,52 +311,59 @@ TEST(ObsIntegration, LegacyStatsEqualRegistryCounters) {
   }
 }
 
-TEST(ObsIntegration, TraceReconcilesWithCountersAfterWraparound) {
-  ObservedWorld world(13, /*trace_capacity=*/2048);
+TEST(ObsIntegration, SpansReconcileWithCountersAfterWraparound) {
+  ObservedWorld world(13, /*span_capacity=*/2048);
+  world.attach_spans();
   world.run(10'000);  // far past the ring capacity
 
   const auto& rs = world.resolver->stats();
   EXPECT_EQ(rs.client_queries, 10'000u);
-  // Unbounded per-kind counters reconcile exactly against the registry even
-  // though the resident ring only holds the newest 2048 events.
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryStart), rs.client_queries);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryResponse),
-            rs.client_queries);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryRetry), rs.retries);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::QueryTimeout), rs.timeouts);
+  EXPECT_GT(rs.retries, 0u);  // the lossy network exercises both paths
+  EXPECT_GT(rs.timeouts, 0u);
+  // Unbounded per-name counts reconcile exactly against the registry even
+  // though the resident ring only holds the newest 2048 spans.
+  EXPECT_EQ(world.spans.recorded("resolve"), rs.client_queries);
+  EXPECT_EQ(world.spans.recorded("retry"), rs.retries);
+  EXPECT_EQ(world.spans.recorded("timeout"), rs.timeouts);
 
   const auto& rrl_stats = world.rrl.stats();
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::RrlPass), rrl_stats.passed);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::RrlSlip), rrl_stats.slipped);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::RrlDrop), rrl_stats.dropped);
+  EXPECT_GT(rrl_stats.slipped, 0u);
+  EXPECT_GT(rrl_stats.dropped, 0u);
+  EXPECT_EQ(world.spans.recorded("rrl_pass"), rrl_stats.passed);
+  EXPECT_EQ(world.spans.recorded("rrl_slip"), rrl_stats.slipped);
+  EXPECT_EQ(world.spans.recorded("rrl_drop"), rrl_stats.dropped);
 
   const auto gate_stats = world.honeypot->gate()->stats();
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::ConnAdmit),
-            gate_stats.accepted);
-  EXPECT_EQ(world.trace.emitted(obs::TraceKind::ConnShed),
-            gate_stats.shed_total());
+  EXPECT_GT(gate_stats.accepted, 0u);
+  EXPECT_GT(gate_stats.shed_total(), 0u);
+  EXPECT_EQ(world.spans.recorded("conn"), gate_stats.accepted);
+  EXPECT_EQ(world.spans.recorded("conn_shed"), gate_stats.shed_total());
 
-  // Every event is accounted for: resident + dropped == emitted, and the
-  // JSONL export carries exactly the resident events.
-  const auto events = world.trace.events();
-  EXPECT_GT(world.trace.dropped(), 0u);
-  EXPECT_EQ(world.trace.total_emitted(), events.size() + world.trace.dropped());
-  const std::string jsonl = world.trace.to_jsonl();
+  // Every span is accounted for: resident + dropped == recorded, nothing is
+  // left open, and the JSONL export carries exactly the resident spans.
+  const auto finished = world.spans.finished();
+  EXPECT_GT(world.spans.spans_dropped(), 0u);
+  EXPECT_EQ(world.spans.spans_recorded(),
+            finished.size() + world.spans.spans_dropped());
+  EXPECT_EQ(world.spans.spans_open(), 0u);
+  const std::string jsonl = world.spans.to_jsonl();
   std::size_t lines = 0;
   for (char c : jsonl) lines += c == '\n';
-  EXPECT_EQ(lines, events.size());
+  EXPECT_EQ(lines, finished.size());
 }
 
 TEST(ObsIntegration, DeterministicUnderFixedSeed) {
   const auto run_once = [] {
     ObservedWorld world(21, 1024);
+    world.attach_spans();
     world.run(2'000);
-    return std::make_pair(world.trace.to_jsonl(),
+    return std::make_pair(world.spans.to_jsonl(),
                           obs::render_prometheus(world.registry));
   };
   const auto a = run_once();
   const auto b = run_once();
-  EXPECT_EQ(a.first, b.first);    // identical JSONL trace
+  EXPECT_FALSE(a.first.empty());
+  EXPECT_EQ(a.first, b.first);    // identical JSONL spans
   EXPECT_EQ(a.second, b.second);  // identical Prometheus text
 }
 
@@ -372,6 +391,8 @@ TEST(ObsIntegration, HealthBreakerAndHedgeMetricsFlowToSharedRegistry) {
   breaker_rig.use_network(network, farm, resolver::RetryPolicy{}, 21);
   breaker_rig.bind_metrics(registry);
   breaker_rig.enable_health(breaker_only);
+  obs::SpanTracer breaker_spans;
+  breaker_rig.trace_spans(&breaker_spans);
 
   net::FaultSpec dark;
   dark.drop = 1.0;
@@ -401,6 +422,8 @@ TEST(ObsIntegration, HealthBreakerAndHedgeMetricsFlowToSharedRegistry) {
   hedge_rig.use_network(network, farm, resolver::RetryPolicy{}, 22);
   hedge_rig.bind_metrics(registry);
   hedge_rig.enable_health(hedging);
+  obs::SpanTracer hedge_spans;
+  hedge_rig.trace_spans(&hedge_spans);
 
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(hedge_rig.resolve_rcode(name, 400 + i * 10), dns::RCode::NoError);
@@ -427,6 +450,14 @@ TEST(ObsIntegration, HealthBreakerAndHedgeMetricsFlowToSharedRegistry) {
   EXPECT_GE(hs.breaker_reclosed, 1u);
   EXPECT_GE(hs.breaker_probes, 1u);
   EXPECT_EQ(breaker_rig.health()->stats().breaker_opened, hs.breaker_opened);
+  // The adaptive attempt loop marks every retry and timeout it counts,
+  // hedge-side ones included, as a point span.
+  EXPECT_GE(rs.timeouts, 1u);
+  EXPECT_EQ(breaker_spans.recorded("retry") + hedge_spans.recorded("retry"),
+            rs.retries);
+  EXPECT_EQ(
+      breaker_spans.recorded("timeout") + hedge_spans.recorded("timeout"),
+      rs.timeouts);
 
   const auto snapshot = registry.snapshot();
   const auto value = [&snapshot](const std::string& metric,

@@ -9,9 +9,10 @@
 //   * the anomaly detector flags a seeded water-torture burst as a flood and
 //     stays quiet across legit-only runs on three seeds (zero false
 //     positives);
-//   * detail strings are bounded at kDetailCap for both QueryTrace and
-//     SpanTracer, so a flood of maximum-length qnames cannot bloat the rings
-//     (10k-byte regression);
+//   * detail strings are bounded at kDetailCap, so a flood of
+//     maximum-length qnames cannot bloat the span ring (10k-byte
+//     regression);
+//   * trace ids never collide across components whose keys overlap;
 //   * JSONL round-trips exactly, including trace ids above INT64_MAX;
 //   * multithreaded emission reconciles (the TSan duplicate compiles these
 //     sources with -fsanitize=thread);
@@ -37,7 +38,6 @@
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
 #include "pdns/durable_store.hpp"
 #include "pdns/observation.hpp"
 
@@ -124,12 +124,27 @@ TEST(SpanReconciliation, SamplingIsDeterministicAndProportional) {
   std::uint64_t kept = 0;
   for (std::uint64_t key = 0; key < 100'000; ++key) {
     EXPECT_EQ(a.sampled(key), b.sampled(key));
-    EXPECT_EQ(a.trace_id_for(key), b.trace_id_for(key));
+    EXPECT_EQ(a.trace_id_for(key, "resolve"), b.trace_id_for(key, "resolve"));
     if (a.sampled(key)) ++kept;
   }
   // ~1% of 100k keys, with generous slack for hash variance.
   EXPECT_GT(kept, 500u);
   EXPECT_LT(kept, 2000u);
+}
+
+TEST(SpanReconciliation, RootNamesSeparateTraceIdsForOverlappingKeys) {
+  // Every component numbers its own work from 1 (commit group 1, checkpoint
+  // 1, query 1, connection 1); on one tracer those roots must still land in
+  // distinct trace trees, or seconds and nanoseconds mix in one tree.
+  obs::SpanTracer spans;
+  const auto wal = spans.trace_root(1, "wal_group", 0);
+  const auto ckpt = spans.trace_root(1, "checkpoint", 0);
+  const auto query = spans.trace_root(1, "resolve", 0);
+  ASSERT_TRUE(wal.sampled());
+  ASSERT_TRUE(ckpt.sampled());
+  EXPECT_NE(wal.trace, ckpt.trace);
+  EXPECT_NE(wal.trace, query.trace);
+  EXPECT_NE(ckpt.trace, query.trace);
 }
 
 TEST(SpanNesting, ChildrenLieInsideTheirParents) {
@@ -201,10 +216,10 @@ TEST(Anomaly, LegitOnlyTrafficIsQuietAcrossSeeds) {
   }
 }
 
-TEST(Anomaly, AlertsLandInTheTraceRing) {
-  obs::QueryTrace trace;
+TEST(Anomaly, AlertsLandInTheSpanRing) {
+  obs::SpanTracer spans;
   obs::NxAnomalyDetector detector;
-  detector.set_trace(&trace);
+  detector.trace_spans(&spans);
   util::SimTime t = 0;
   const util::SimTime step = detector.config().window;
   for (int i = 0; i < detector.config().warmup_windows + 4; ++i) {
@@ -214,7 +229,17 @@ TEST(Anomaly, AlertsLandInTheTraceRing) {
     detector.update(t += step, 0.9, 100);
   }
   ASSERT_EQ(detector.state(), obs::AnomalyState::Flood);
-  EXPECT_GT(trace.emitted(obs::TraceKind::Anomaly), 0u);
+  // One zero-duration root per transition into Spike, Flood or Drift.
+  EXPECT_EQ(spans.recorded("anomaly"),
+            detector.spikes() + detector.floods() + detector.drifts());
+  const auto finished = spans.finished();
+  ASSERT_FALSE(finished.empty());
+  const SpanRecord& last = finished.back();
+  EXPECT_EQ(last.name, "anomaly");
+  EXPECT_EQ(last.parent_id, 0u);
+  EXPECT_EQ(last.start, last.end);
+  EXPECT_EQ(last.detail, "flood");
+  EXPECT_EQ(last.value, 9000);  // share × 1e4
 }
 
 // ------------------------------------------------- SLO burn rate
@@ -312,19 +337,16 @@ TEST(TimeSeries, WindowedSumsRatesAndRetention) {
 TEST(DetailCap, TenKilobyteQnameIsTruncatedEverywhere) {
   const std::string huge(10'000, 'x');  // a water-torture max-length qname
 
-  obs::QueryTrace trace;
-  trace.emit(1, obs::TraceKind::QueryStart, 1, 0, huge);
-  ASSERT_EQ(trace.events().size(), 1u);
-  EXPECT_EQ(trace.events()[0].detail.size(), obs::kDetailCap);
-  EXPECT_EQ(trace.details_truncated(), 1u);
-
   obs::SpanTracer spans;
   const auto root = spans.trace_root(1, "resolve", 0, huge);
+  spans.event(root, "retry", 1, 1, huge);  // point events are capped too
   spans.end(root, 2, 0, huge);  // end()'s replacement detail is capped too
-  EXPECT_EQ(spans.details_truncated(), 2u);
+  EXPECT_EQ(spans.details_truncated(), 3u);
   const auto finished = spans.finished();
-  ASSERT_EQ(finished.size(), 1u);
-  EXPECT_EQ(finished[0].detail.size(), obs::kDetailCap);
+  ASSERT_EQ(finished.size(), 2u);
+  for (const SpanRecord& s : finished) {
+    EXPECT_EQ(s.detail.size(), obs::kDetailCap) << s.name;
+  }
 }
 
 // ------------------------------------------------- JSONL round-trip
@@ -334,7 +356,7 @@ TEST(SpanJsonl, RoundTripsIncludingHugeTraceIds) {
   // Find a key whose trace id exceeds INT64_MAX: scan_uint must accumulate
   // into uint64, not via the signed scanner (regression).
   std::uint64_t huge_key = 0;
-  while (spans.trace_id_for(huge_key) <=
+  while (spans.trace_id_for(huge_key, "resolve") <=
          static_cast<std::uint64_t>(INT64_MAX)) {
     ++huge_key;
     ASSERT_LT(huge_key, 1'000u) << "hash should exceed INT64_MAX quickly";
