@@ -11,9 +11,10 @@
 //               [--report=<path.md>]   write a Markdown report of the run
 //               [--threads=8]
 //                   sharded §4 ingest: generate the 2014-2022 stream with a
-//                   partitionable seeded model, hash-partition it across N
-//                   store shards ingested by N workers, and fold the shards
-//                   into one store (byte-identical to serial ingest)
+//                   partitionable seeded model, encode it as SIE frames of
+//                   10,000 observations, hash-partition them across N store
+//                   shards ingested by N workers, and fold the shards into
+//                   one store (byte-identical to serial ingest)
 //               [--loss=0.1] [--chaos-seed=7]
 //                   chaos run: resolve a query stream through a SimNetwork
 //                   with that much injected packet loss (plus corruption and
@@ -101,6 +102,7 @@
 #include "pdns/durable_store.hpp"
 #include "pdns/observation.hpp"
 #include "pdns/sharded_store.hpp"
+#include "pdns/sie_channel.hpp"
 #include "resolver/health.hpp"
 #include "resolver/hierarchy.hpp"
 #include "resolver/recursive.hpp"
@@ -418,8 +420,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stages.compactions),
                 util::with_commas(store.total_observations()).c_str());
   } else if (threads > 1) {
-    // Sharded path: partitionable stream generation, hash-partitioned
-    // lock-free ingest (one worker per shard), deterministic fold.
+    // Sharded path: partitionable stream generation, SIE frames of 10,000
+    // observations (the same encoding the durable path submits), zero-copy
+    // hash-partitioned ingest (one worker per shard), deterministic fold.
     synth::HistoryStreamConfig history;
     history.scale = 5e-9;
     history.seed = seed;
@@ -428,21 +431,25 @@ int main(int argc, char** argv) {
     const auto observations = stream.all_parallel(pool);
     pdns::ShardedStore sharded(threads);
     if (obs_enabled) sharded.bind_metrics(registry);
+    constexpr std::size_t kBatch = 10'000;
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (std::size_t at = 0; at < observations.size(); at += kBatch) {
+      const auto n = std::min(kBatch, observations.size() - at);
+      frames.push_back(
+          pdns::encode_batch_frame(std::span(observations).subspan(at, n)));
+    }
     if (metrics_every > 0) {
-      // Batched ingest so the periodic emission has batch boundaries to fire
-      // on; each shard still sees its observations in stream order, so the
+      // Frame by frame so the periodic emission has boundaries to fire on;
+      // each shard still sees its observations in stream order, so the
       // merged store is identical to the one-call ingest below.
-      constexpr std::size_t kBatch = 10'000;
-      std::uint64_t batch_no = 0;
-      for (std::size_t at = 0; at < observations.size(); at += kBatch) {
-        const auto n = std::min(kBatch, observations.size() - at);
-        sharded.ingest_batch(std::span(observations).subspan(at, n), pool);
-        if (++batch_no % metrics_every == 0) {
-          emit_metrics(("after batch " + std::to_string(batch_no)).c_str());
+      for (std::size_t f = 0; f < frames.size(); ++f) {
+        sharded.ingest_frames(std::span(frames).subspan(f, 1), pool);
+        if ((f + 1) % metrics_every == 0) {
+          emit_metrics(("after batch " + std::to_string(f + 1)).c_str());
         }
       }
     } else {
-      sharded.ingest_batch(observations, pool);
+      sharded.ingest_frames(frames, pool);
     }
     store = sharded.merge();
     std::printf("(sharded ingest: %zu workers over %zu shards, %s observations)\n",

@@ -27,40 +27,155 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-/// Which chain files any decodable manifest still references.  Files outside
-/// this set are orphans: leftovers of a checkpoint that died before its
-/// manifest committed, or of an interrupted cleanup.
-struct ChainRefs {
-  bool any_manifest_decodable = false;
-  std::set<std::uint64_t> bases;
-  std::set<std::pair<std::uint64_t, std::uint32_t>> deltas;
-};
-
-ChainRefs collect_chain_refs(const std::string& dir) {
-  ChainRefs refs;
+/// Every manifest that decodes and pins the frontier its file name says,
+/// newest first.  Their chains are not validated.
+std::vector<Manifest> decodable_manifests(const std::string& dir) {
+  std::vector<Manifest> out;
   for (const auto& [frontier, path] : list_manifests(dir)) {
-    const auto m = load_manifest_file(path);
-    if (!m || m->frontier != frontier) continue;
-    refs.any_manifest_decodable = true;
-    if (m->base_batches > 0) refs.bases.insert(m->base_batches);
-    for (const auto& d : m->deltas) refs.deltas.insert({d.frontier, d.shard});
+    if (auto m = load_manifest_file(path, frontier)) {
+      out.push_back(std::move(*m));
+    }
   }
-  return refs;
+  return out;
 }
 
-std::uint64_t count_orphaned_chain_files(const std::string& dir,
-                                         const ChainRefs& refs) {
+/// Chain files no decodable manifest references: leftovers of a checkpoint
+/// that died before its manifest committed, or of an interrupted cleanup.
+std::uint64_t count_orphaned_chain_files(
+    const std::string& dir, std::span<const Manifest> manifests) {
+  std::set<std::uint64_t> bases;
+  std::set<std::pair<std::uint64_t, std::uint32_t>> deltas;
+  for (const auto& m : manifests) {
+    if (m.base_batches > 0) bases.insert(m.base_batches);
+    for (const auto& d : m.deltas) deltas.insert({d.frontier, d.shard});
+  }
   std::uint64_t orphans = 0;
   for (const auto& d : list_deltas(dir)) {
-    if (!refs.deltas.contains({d.frontier, d.shard})) ++orphans;
+    if (!deltas.contains({d.frontier, d.shard})) ++orphans;
   }
-  // Without any manifest, bare snapshots are the legacy layout, not orphans.
-  if (refs.any_manifest_decodable) {
+  // With no decodable manifest, recovery falls back to the newest valid
+  // base, so bare bases are that fallback's candidates, not orphans.
+  if (!manifests.empty()) {
     for (const auto& [batches, path] : list_bases(dir)) {
-      if (!refs.bases.contains(batches)) ++orphans;
+      if (!bases.contains(batches)) ++orphans;
     }
   }
   return orphans;
+}
+
+/// The image a manifest pins: its base with every listed delta absorbed in
+/// order.  nullopt when any chain file fails validation — the manifest is
+/// then unusable as a whole.
+std::optional<PassiveDnsStore> load_chain(const std::string& dir,
+                                          const Manifest& m,
+                                          const StoreConfig& config) {
+  PassiveDnsStore image(config);
+  if (m.base_batches > 0) {
+    auto base = load_base_file(base_path(dir, m.base_batches), m.base_batches);
+    if (!base) return std::nullopt;
+    image = std::move(*base);
+  }
+  for (const auto& d : m.deltas) {
+    const auto delta = load_delta_file(delta_path(dir, d.frontier, d.shard),
+                                       d.frontier, d.shard);
+    if (!delta) return std::nullopt;
+    image.absorb(*delta);
+  }
+  return image;
+}
+
+/// One pass over a durable directory's checkpoint files: what open()
+/// restores and what fsck() reports.  Manifests are visited newest first;
+/// the first whose whole chain validates is the frontier.  When none does —
+/// every manifest is corrupt, or there are none — the newest valid base
+/// alone is the frontier (and the WAL replays the rest).  Restore stops at
+/// the frontier, so open() validates only the chain it loads; Inspect checks
+/// every file.
+enum class ScanDepth { Restore, Inspect };
+
+struct CheckpointScan {
+  std::vector<DurableStore::FsckManifest> manifests;  ///< visited, newest first
+  std::vector<DurableStore::FsckSnapshot> bases;      ///< visited, newest first
+  bool found = false;
+  Manifest frontier;      ///< the chosen cut; base-only: {b, b, 0, {}}
+  PassiveDnsStore image;  ///< its restored store
+};
+
+CheckpointScan scan_checkpoints(const std::string& dir,
+                                const StoreConfig& config, ScanDepth depth) {
+  CheckpointScan scan;
+  scan.image = PassiveDnsStore(config);
+  const auto done = [&] { return scan.found && depth == ScanDepth::Restore; };
+  for (const auto& [frontier, path] : list_manifests(dir)) {
+    if (done()) break;
+    auto& info = scan.manifests.emplace_back();
+    info.path = path;
+    info.frontier = frontier;
+    const auto m = load_manifest_file(path, frontier);
+    if (!m) continue;
+    info.decodable = true;
+    info.chain_deltas = m->deltas.size();
+    auto image = load_chain(dir, *m, config);
+    info.usable = image.has_value();
+    if (image && !scan.found) {
+      scan.found = true;
+      scan.frontier = *m;
+      scan.image = std::move(*image);
+    }
+  }
+  for (const auto& [batches, path] : list_bases(dir)) {
+    if (done()) break;
+    auto base = load_base_file(path, batches);
+    scan.bases.push_back({path, batches, base.has_value()});
+    if (base && !scan.found) {
+      scan.found = true;
+      scan.frontier = Manifest{batches, batches, 0, {}};
+      scan.image = std::move(*base);
+    }
+  }
+  return scan;
+}
+
+/// How the WAL sits against a frontier.  Replayed seqs ascend strictly, so
+/// the records split into three runs: stale (seq <= frontier, already in
+/// the checkpoint image), replayable (frontier+1, frontier+2, ...), and —
+/// from the first seq that jumps past the next one — past a gap.  Replay
+/// stops at a gap: applying across it would leave a state that is no serial
+/// prefix, so the batches past it stay on disk but unreachable.
+struct WalTail {
+  std::size_t stale = 0;       ///< records [0, stale)
+  std::size_t replay_end = 0;  ///< replayable: records [stale, replay_end)
+  std::size_t past_gap = 0;    ///< records [replay_end, end)
+  std::uint64_t replayable() const { return replay_end - stale; }
+};
+
+WalTail classify_wal(std::span<const Wal::ReplayedBatch> records,
+                     std::uint64_t frontier) {
+  WalTail tail;
+  std::size_t i = 0;
+  while (i < records.size() && records[i].seq <= frontier) ++i;
+  tail.stale = i;
+  for (std::uint64_t next = frontier + 1;
+       i < records.size() && records[i].seq == next; ++next) {
+    ++i;
+  }
+  tail.replay_end = i;
+  tail.past_gap = records.size() - i;
+  return tail;
+}
+
+/// Leftover atomic-commit temporaries: each is an uncommitted write that
+/// died before its rename.
+std::vector<std::filesystem::path> tmp_files(const std::string& dir) {
+  std::vector<std::filesystem::path> out;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.is_regular_file(ec) &&
+        entry.path().extension().string() == ".tmp") {
+      out.push_back(entry.path());
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -216,150 +331,81 @@ struct DurableStore::Core {
 // ------------------------------------------------------------------ recover
 
 bool DurableStore::Core::recover() {
-  // 1. Newest manifest whose whole chain validates pins the frontier.  A
-  //    corrupt manifest/base/delta skips to the previous manifest — whose
-  //    WAL floor is still retained, so the skipped batches replay instead
-  //    of being lost.
-  bool manifest_present = false;
-  bool restored = false;
-  std::uint64_t skipped_newer = 0;
-  for (const auto& [frontier, path] : list_manifests(dir)) {
-    manifest_present = true;
-    const auto m = load_manifest_file(path);
-    if (!m || m->frontier != frontier) {
-      ++recovery.invalid_manifests;
-      ++skipped_newer;
-      continue;
-    }
-    PassiveDnsStore candidate(config.store);
-    bool chain_ok = true;
-    std::uint64_t absorbed = 0;
-    if (m->base_batches > 0) {
-      auto loaded = load_base_file(base_path(dir, m->base_batches));
-      if (loaded && loaded->batches == m->base_batches) {
-        candidate = std::move(loaded->store);
-      } else {
-        chain_ok = false;
-        ++recovery.corrupt_chain_files;
-      }
-    }
-    if (chain_ok) {
-      for (const auto& d : m->deltas) {
-        auto delta = load_delta_file(delta_path(dir, d.frontier, d.shard),
-                                     d.frontier, d.shard);
-        if (!delta) {
-          chain_ok = false;
-          ++recovery.corrupt_chain_files;
-          break;
-        }
-        candidate.absorb(*delta);
-        ++absorbed;
-      }
-    }
-    if (!chain_ok) {
-      ++recovery.invalid_manifests;
-      ++skipped_newer;
-      continue;
-    }
-    base = std::move(candidate);
-    committed.store(m->frontier, std::memory_order_relaxed);
-    current = *m;
-    recovery.snapshot_loaded = true;
-    recovery.snapshot_batches = m->frontier;
-    recovery.deltas_absorbed = absorbed;
-    restored = true;
-    break;
+  // 1. Restore the frontier: the newest manifest whose whole chain
+  //    validates.  A corrupt manifest/base/delta skips to the previous
+  //    manifest — whose WAL floor is still retained, so the skipped batches
+  //    replay instead of being lost.
+  auto scan = scan_checkpoints(dir, config.store, ScanDepth::Restore);
+  for (const auto& info : scan.manifests) {
+    if (info.usable) continue;
+    ++recovery.invalid_manifests;
+    if (info.decodable) ++recovery.corrupt_chain_files;
   }
-  recovery.frontier_degraded = restored ? skipped_newer > 0 : manifest_present;
-
-  if (restored) {
-    // Re-pin the retention fallback: the newest older manifest from a
-    // different base lineage (cleanup kept it on disk exactly for this).
-    // Without it, the first post-recovery checkpoint would truncate the WAL
-    // up to the current lineage and re-open the shared-base fault window.
-    for (const auto& [frontier, path] : list_manifests(dir)) {
-      if (frontier >= current.frontier) continue;
-      const auto m = load_manifest_file(path);
-      if (!m || m->frontier != frontier) continue;
-      if (m->base_batches == current.base_batches) continue;
-      previous = *m;
-      break;
-    }
+  for (const auto& info : scan.bases) {
+    if (!info.valid) ++recovery.invalid_snapshots;
   }
+  recovery.frontier_degraded =
+      !scan.manifests.empty() && !scan.manifests.front().usable;
+  recovery.snapshot_loaded = scan.found;
+  recovery.snapshot_batches = scan.frontier.frontier;
+  recovery.deltas_absorbed = scan.frontier.deltas.size();
+  base = std::move(scan.image);
+  current = scan.frontier;
+  const std::uint64_t frontier = current.frontier;
 
-  if (!restored) {
-    // No usable manifest.  The newest valid full base alone is still an
-    // exact prefix: legacy directories have no manifests at all, and a
-    // multi-fault directory degrades here (the replay contiguity guard
-    // below keeps the result a prefix even then).
-    for (const auto& [batches, path] : list_bases(dir)) {
-      if (auto loaded = load_base_file(path);
-          loaded && loaded->batches == batches) {
-        base = std::move(loaded->store);
-        committed.store(batches, std::memory_order_relaxed);
-        current = Manifest{batches, batches, 0, {}};
-        recovery.snapshot_loaded = true;
-        recovery.snapshot_batches = batches;
+  const auto manifests = decodable_manifests(dir);
+  if (scan.found && scan.bases.empty()) {
+    // Restored from a manifest (the scan stopped before any base): re-pin
+    // the retention fallback, the newest older manifest from a different
+    // base lineage (cleanup kept it on disk exactly for this).  Without it,
+    // the first post-recovery checkpoint would truncate the WAL up to the
+    // current lineage and re-open the shared-base fault window.
+    for (const auto& m : manifests) {
+      if (m.frontier < frontier && m.base_batches != current.base_batches) {
+        previous = m;
         break;
       }
-      ++recovery.invalid_snapshots;
     }
   }
 
-  // 2. Strict, zero-copy WAL tail replay on top of the frontier.
-  auto replay = Wal::replay(dir);
+  // 2. Strict, zero-copy WAL replay of the contiguous tail past the
+  //    frontier.
+  const auto replay = Wal::replay(dir);
+  const auto wal_tail = classify_wal(replay.batches, frontier);
   recovery.discarded_wal_bytes = replay.discarded_bytes;
   recovery.wal_tail_truncated = replay.tail_truncated;
-  for (auto& replayed : replay.batches) {
-    const std::uint64_t at = committed.load(std::memory_order_relaxed);
-    if (replayed.seq <= at) {
-      ++recovery.stale_batches_skipped;
-      continue;
-    }
-    if (replayed.seq != at + 1) {
-      // seq jumped past the frontier: retention was violated by multiple
-      // independent faults.  Applying across the gap would yield a
-      // non-prefix state, so stop here — still exact, just shorter.
-      recovery.wal_gap_detected = true;
-      break;
-    }
-    const std::span<const std::uint8_t> frame(replayed.frame);
-    tail.ingest_frames(std::span<const std::span<const std::uint8_t>>(&frame, 1),
-                       *pool);
-    committed.store(replayed.seq, std::memory_order_relaxed);
-    ++recovery.replayed_batches;
-    ++since_delta;
+  recovery.stale_batches_skipped = wal_tail.stale;
+  recovery.replayed_batches = wal_tail.replayable();
+  recovery.wal_gap_detected = wal_tail.past_gap > 0;
+  for (std::size_t i = wal_tail.stale; i < wal_tail.replay_end; ++i) {
+    const std::span<const std::uint8_t> frame(replay.batches[i].frame);
+    tail.ingest_frames(std::span(&frame, 1), *pool);
   }
+  since_delta = wal_tail.replayable();
+  const std::uint64_t at = frontier + wal_tail.replayable();
+  committed.store(at, std::memory_order_relaxed);
 
-  // 3. Sweep leftover atomic-commit temporaries: a `.tmp` is by definition
-  //    an uncommitted write that died before its rename, so deleting it can
-  //    never lose acked data.  No crash hook — a death mid-sweep just leaves
-  //    files for the next open to sweep again.  Orphaned chain files (a
-  //    checkpoint that died before its manifest) are counted but kept; the
-  //    next successful checkpoint's cleanup retires them.
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file(ec) &&
-        entry.path().extension().string() == ".tmp") {
-      if (std::filesystem::remove(entry.path(), ec)) {
-        ++recovery.removed_tmp_files;
-      }
-    }
+  // 3. Sweep leftover atomic-commit temporaries: deleting an uncommitted
+  //    write can never lose acked data.  No crash hook — a death mid-sweep
+  //    just leaves files for the next open to sweep again.  Orphaned chain
+  //    files (a checkpoint that died before its manifest) are counted but
+  //    kept; the next successful checkpoint's cleanup retires them.
+  for (const auto& path : tmp_files(dir)) {
+    std::error_code ec;
+    if (std::filesystem::remove(path, ec)) ++recovery.removed_tmp_files;
   }
-  recovery.orphaned_chain_files =
-      count_orphaned_chain_files(dir, collect_chain_refs(dir));
+  recovery.orphaned_chain_files = count_orphaned_chain_files(dir, manifests);
 
   // 4. New batches go to a fresh segment past everything on disk; a torn
   //    tail segment is never appended to.
   std::uint64_t next_segment = 0;
   const auto segments = Wal::list_segments(dir);
   if (!segments.empty()) next_segment = segments.back().first + 1;
-  const std::uint64_t frontier = committed.load(std::memory_order_relaxed);
-  wal = Wal::create(dir, config.wal, next_segment, frontier + 1, crash);
+  wal = Wal::create(dir, config.wal, next_segment, at + 1, crash);
   if (!wal) return false;
-  next_seq = frontier + 1;
-  done_seq = frontier;
-  acked_seq = frontier;
+  next_seq = at + 1;
+  done_seq = at;
+  acked_seq = at;
   return true;
 }
 
@@ -984,88 +1030,33 @@ obs::PressureInputs DurableStore::pressure_inputs() const {
 
 DurableStore::FsckReport DurableStore::fsck(const std::string& dir) {
   FsckReport report;
-  ChainRefs refs;
-  bool frontier_found = false;
-  for (const auto& [frontier, path] : list_manifests(dir)) {
-    FsckManifest info;
-    info.path = path;
-    info.frontier = frontier;
-    const auto m = load_manifest_file(path);
-    info.decodable = m.has_value() && m->frontier == frontier;
-    if (info.decodable) {
-      refs.any_manifest_decodable = true;
-      info.usable = true;
-      info.chain_deltas = m->deltas.size();
-      if (m->base_batches > 0) {
-        refs.bases.insert(m->base_batches);
-        const auto loaded = load_base_file(base_path(dir, m->base_batches));
-        if (!loaded || loaded->batches != m->base_batches) info.usable = false;
-      }
-      for (const auto& d : m->deltas) {
-        refs.deltas.insert({d.frontier, d.shard});
-        if (info.usable &&
-            !load_delta_file(delta_path(dir, d.frontier, d.shard), d.frontier,
-                             d.shard)) {
-          info.usable = false;
-        }
-      }
-    }
-    if (info.usable && !frontier_found) {
-      report.frontier = frontier;
-      report.chain_deltas = info.chain_deltas;
-      frontier_found = true;
-    }
-    if (!info.usable) report.clean = false;
-    report.manifests.push_back(std::move(info));
-  }
-
-  bool best_base_found = false;
-  for (const auto& [batches, path] : list_bases(dir)) {
-    FsckSnapshot info;
-    info.path = path;
-    info.batches = batches;
-    const auto loaded = load_base_file(path);
-    info.valid = loaded.has_value() && loaded->batches == batches;
-    if (info.valid && !best_base_found) {
-      report.best_snapshot_batches = batches;
-      best_base_found = true;
-    }
-    if (!info.valid) report.clean = false;
-    report.snapshots.push_back(std::move(info));
-  }
-  if (!frontier_found) report.frontier = report.best_snapshot_batches;
-
-  report.orphaned_chain_files = count_orphaned_chain_files(dir, refs);
-  if (report.orphaned_chain_files > 0) report.clean = false;
+  auto scan = scan_checkpoints(dir, StoreConfig{}, ScanDepth::Inspect);
+  report.manifests = std::move(scan.manifests);
+  report.snapshots = std::move(scan.bases);
+  report.frontier = scan.frontier.frontier;
+  report.frontier_base_batches = scan.frontier.base_batches;
+  report.chain_deltas = scan.frontier.deltas.size();
+  report.orphaned_chain_files =
+      count_orphaned_chain_files(dir, decodable_manifests(dir));
 
   const auto replay = Wal::replay(dir);
+  const auto wal_tail = classify_wal(replay.batches, report.frontier);
   report.wal_segments = Wal::list_segments(dir).size();
   report.wal_records = replay.records_scanned;
   report.discarded_wal_bytes = replay.discarded_bytes;
   report.wal_tail_truncated = replay.tail_truncated;
-  if (replay.tail_truncated) report.clean = false;
-  std::uint64_t expected = report.frontier;
-  for (const auto& replayed : replay.batches) {
-    if (replayed.seq <= report.frontier) {
-      ++report.stale_batches;
-    } else if (replayed.seq == expected + 1) {
-      ++report.replayable_batches;
-      expected = replayed.seq;
-    } else {
-      break;  // gap: recovery would stop here too
-    }
-  }
+  report.stale_batches = wal_tail.stale;
+  report.replayable_batches = wal_tail.replayable();
+  report.batches_past_gap = wal_tail.past_gap;
   report.recoverable_batches = report.frontier + report.replayable_batches;
   report.compaction_debt = report.chain_deltas + report.replayable_batches;
+  report.tmp_files = tmp_files(dir).size();
 
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file(ec) &&
-        entry.path().extension().string() == ".tmp") {
-      ++report.tmp_files;
-      report.clean = false;
-    }
-  }
+  report.clean = report.orphaned_chain_files == 0 &&
+                 !report.wal_tail_truncated && report.batches_past_gap == 0 &&
+                 report.tmp_files == 0;
+  for (const auto& m : report.manifests) report.clean &= m.usable;
+  for (const auto& b : report.snapshots) report.clean &= b.valid;
   return report;
 }
 

@@ -109,13 +109,14 @@ class DurableStore {
   };
 
   struct RecoveryInfo {
-    bool snapshot_loaded = false;  ///< a manifest chain or legacy base was restored
+    bool snapshot_loaded = false;  ///< a manifest chain or base was restored
     std::uint64_t snapshot_batches = 0;     ///< frontier it covered
     std::uint64_t replayed_batches = 0;     ///< WAL tail applied on top
     std::uint64_t stale_batches_skipped = 0;  ///< seq ≤ frontier (truncation raced a crash)
     std::uint64_t invalid_manifests = 0;    ///< corrupt/unusable manifests skipped
     std::uint64_t corrupt_chain_files = 0;  ///< base/delta files that failed validation
-    std::uint64_t invalid_snapshots = 0;    ///< corrupt legacy full snapshots skipped
+    /// Corrupt bases skipped by the every-manifest-corrupt fallback.
+    std::uint64_t invalid_snapshots = 0;
     std::uint64_t deltas_absorbed = 0;      ///< chain files folded into the base
     std::uint64_t orphaned_chain_files = 0; ///< chain files no valid manifest references
     std::uint64_t discarded_wal_bytes = 0;  ///< torn/corrupt tail dropped
@@ -131,10 +132,11 @@ class DurableStore {
   };
 
   /// Open-or-recover: restores the newest fully-valid manifest frontier
-  /// (or the newest legacy snapshot), replays the WAL tail, and arms a
-  /// fresh WAL segment plus the writer/checkpoint machinery.  On a fresh
-  /// directory this is simply "create".  nullopt only when the directory is
-  /// unusable (or the injected crash fires during setup).
+  /// (or, when every manifest is corrupt, the newest valid base alone),
+  /// replays the WAL tail, and arms a fresh WAL segment plus the
+  /// writer/checkpoint machinery.  On a fresh directory this is simply
+  /// "create".  nullopt only when the directory is unusable (or the injected
+  /// crash fires during setup).
   static std::optional<DurableStore> open(std::string dir, Config config,
                                           util::CrashPoint* crash = nullptr);
 
@@ -224,14 +226,17 @@ class DurableStore {
   struct FsckReport {
     std::vector<FsckManifest> manifests;  ///< newest first
     std::vector<FsckSnapshot> snapshots;  ///< base images, newest first
-    std::uint64_t frontier = 0;  ///< best recoverable manifest/base frontier
-    std::uint64_t best_snapshot_batches = 0;  ///< best valid full base image
+    std::uint64_t frontier = 0;  ///< the manifest/base frontier open() restores
+    std::uint64_t frontier_base_batches = 0;  ///< base image under `frontier`
     std::uint64_t chain_deltas = 0;  ///< delta files behind `frontier`
     std::uint64_t orphaned_chain_files = 0;  ///< referenced by no valid manifest
     std::uint64_t wal_segments = 0;
     std::uint64_t wal_records = 0;
     std::uint64_t replayable_batches = 0;  ///< WAL batches past the frontier
     std::uint64_t stale_batches = 0;
+    /// WAL batches after a seq gap past the frontier: on disk, but replay
+    /// stops at the gap, so open() cannot reach them.
+    std::uint64_t batches_past_gap = 0;
     std::uint64_t recoverable_batches = 0;  ///< frontier + replayable
     /// Recovery work accumulated since the last full base: delta files to
     /// absorb plus WAL batches to replay.  What `nxdtool recover` (forced
@@ -241,9 +246,13 @@ class DurableStore {
     std::uint64_t tmp_files = 0;  ///< leftover uncommitted temporaries
     bool wal_tail_truncated = false;
     /// True when nothing needs repair: no corrupt manifests or chain files,
-    /// no orphans, no torn WAL tail, no leftover temporaries.
+    /// no orphans, no torn WAL tail, no WAL gap, no leftover temporaries.
     bool clean = true;
   };
+  /// Read-only report on the same checkpoint scan, frontier choice and WAL
+  /// classification open() runs — so `frontier`, `replayable_batches` and
+  /// `recoverable_batches` predict what open() restores — except that it
+  /// validates every file, not just the chain open() would load.
   static FsckReport fsck(const std::string& dir);
 
   static std::string snapshot_path(const std::string& dir,

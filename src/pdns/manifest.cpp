@@ -185,10 +185,13 @@ std::optional<Manifest> Manifest::decode(
   return m;
 }
 
-std::optional<Manifest> load_manifest_file(const std::string& path) {
+std::optional<Manifest> load_manifest_file(const std::string& path,
+                                           std::uint64_t expect_frontier) {
   const auto payload = util::read_file_checked(path);
   if (!payload) return std::nullopt;
-  return Manifest::decode(*payload);
+  auto m = Manifest::decode(*payload);
+  if (!m || m->frontier != expect_frontier) return std::nullopt;
+  return m;
 }
 
 // ---- chain-file payload codecs ----------------------------------------------
@@ -203,18 +206,17 @@ std::vector<std::uint8_t> encode_base_payload(std::uint64_t batches,
   return std::move(w).take();
 }
 
-std::optional<LoadedBase> load_base_file(const std::string& path) {
+std::optional<PassiveDnsStore> load_base_file(const std::string& path,
+                                              std::uint64_t expect_batches) {
   const auto payload = util::read_file_checked(path);
   if (!payload) return std::nullopt;
   util::ByteReader r(*payload);
   if (r.u32() != kBaseMagic) return std::nullopt;
   if (r.u16() != kBaseVersion) return std::nullopt;
   const std::uint64_t batches = get_u64(r);
-  if (!r.ok()) return std::nullopt;
-  auto store = load_snapshot(
+  if (!r.ok() || batches != expect_batches) return std::nullopt;
+  return load_snapshot(
       std::span(*payload).subspan(payload->size() - r.remaining()));
-  if (!store) return std::nullopt;
-  return LoadedBase{std::move(*store), batches};
 }
 
 std::vector<std::uint8_t> encode_delta_payload(std::uint64_t frontier,

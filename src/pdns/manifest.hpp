@@ -7,8 +7,8 @@
 //   base    "snapshot-<batches>.nxs"        full store image
 //             payload: magic "NXCP" u32 | version u16 | batches u64 |
 //                      v2 snapshot bytes
-//             (the pre-manifest checkpoint format, unchanged — a legacy
-//             directory's newest snapshot is simply a base with no manifest)
+//             (when every manifest is corrupt, recovery falls back to the
+//             newest base that validates, alone)
 //
 //   delta   "delta-<frontier>-<shard>.nxd"  one shard's tail at a frontier
 //             payload: magic "NXDL" u32 | version u16 | frontier u64 |
@@ -83,15 +83,14 @@ struct Manifest {
 
 // ---- chain-file payload codecs ----------------------------------------------
 
-/// Base checkpoint payload (the legacy "NXCP" format).
+/// Base checkpoint payload ("NXCP").
 std::vector<std::uint8_t> encode_base_payload(std::uint64_t batches,
                                               const PassiveDnsStore& store);
-struct LoadedBase {
-  PassiveDnsStore store;
-  std::uint64_t batches = 0;
-};
-/// Validate framing, header, and the embedded v2 snapshot of a base file.
-std::optional<LoadedBase> load_base_file(const std::string& path);
+/// Validate framing, header, and the embedded v2 snapshot of a base file;
+/// the header's batch count must match the expected one from the file name
+/// or manifest.
+std::optional<PassiveDnsStore> load_base_file(const std::string& path,
+                                              std::uint64_t expect_batches);
 
 /// Delta checkpoint payload ("NXDL").
 std::vector<std::uint8_t> encode_delta_payload(std::uint64_t frontier,
@@ -104,7 +103,9 @@ std::optional<PassiveDnsStore> load_delta_file(const std::string& path,
                                                std::uint64_t expect_frontier,
                                                std::uint32_t expect_shard);
 
-/// Read and decode a manifest file; nullopt when unreadable or malformed.
-std::optional<Manifest> load_manifest_file(const std::string& path);
+/// Read and decode a manifest file; nullopt when unreadable, malformed, or
+/// pinning a different frontier than `expect_frontier` (its file name's).
+std::optional<Manifest> load_manifest_file(const std::string& path,
+                                           std::uint64_t expect_frontier);
 
 }  // namespace nxd::pdns

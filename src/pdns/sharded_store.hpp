@@ -7,24 +7,24 @@
 //     aggregate a single store maintains (per-domain, per-TLD distinct
 //     counts) lives entirely inside one shard;
 //   - each shard is an ordinary PassiveDnsStore owned by exactly one worker
-//     during a batch — the hot path takes no locks and shares no mutable
+//     during a call — the hot path takes no locks and shares no mutable
 //     state;
-//   - routing and shard ingest *pipeline*: the caller's thread routes each
-//     observation into a fixed-capacity SPSC ring (one per shard, caller is
-//     the single producer, the shard's worker the single consumer), so
-//     shards start folding the head of a batch while the tail is still being
-//     routed.  When the pool is too small to dedicate a worker per shard the
-//     path falls back to the original two-pass partition/ingest barrier;
-//   - ingest_frames() is the zero-copy front end: SIE frames validate
-//     in place (FrameView, reject-whole) and ObservationViews flow through
-//     the same rings straight into shard-local interned ingest — no
-//     per-observation allocation anywhere between the wire and the
-//     aggregates;
+//   - ingest_frames() is the only way in.  SIE frames validate in place
+//     (FrameView, reject-whole) and their ObservationViews go straight into
+//     shard-local interned ingest — no per-observation allocation anywhere
+//     between the wire and the aggregates;
+//   - when the pool has a worker for every shard, routing and shard ingest
+//     *pipeline*: the caller's thread routes each view into a fixed-capacity
+//     SPSC ring (one per shard, caller the single producer, the shard's
+//     worker the single consumer), so shards fold the head of a call while
+//     the tail is still being routed.  A smaller pool runs the same routing
+//     inline on the caller's thread; the pool size alone picks the mode;
 //   - merge() folds the shards into one store via PassiveDnsStore::absorb.
 //     Every aggregate is a commutative fold (sum/min/max), so the merged
 //     store — and its v2 snapshot, byte for byte — is identical to serial
-//     ingest of the same stream (tests/sharded_ingest_test and
-//     tests/ingest_fastpath_test pin this for both front ends).
+//     PassiveDnsStore::ingest of the same stream (tests/sharded_ingest_test
+//     and tests/ingest_fastpath_test pin this for every shard count and pool
+//     size).
 #pragma once
 
 #include <cstdint>
@@ -40,8 +40,8 @@ namespace nxd::pdns {
 
 class ShardedStore {
  public:
-  /// At most 256 shards (routing uses one byte per observation); counts are
-  /// clamped into [1, 256].
+  /// At most 256 shards (each pipelined call runs one ring and one worker
+  /// per shard); counts are clamped into [1, 256].
   static constexpr std::size_t kMaxShards = 256;
 
   explicit ShardedStore(std::size_t shard_count, StoreConfig config = {});
@@ -61,22 +61,13 @@ class ShardedStore {
   PassiveDnsStore& shard(std::size_t i) { return shards_[i]; }
   const PassiveDnsStore& shard(std::size_t i) const { return shards_[i]; }
 
-  /// Route a single observation to its shard (serial; for SIE subscribers).
-  void ingest(const Observation& obs);
-
-  /// Parallel batch ingest.  With a worker per shard available, routing and
-  /// ingest pipeline through per-shard SPSC rings: the calling thread is the
-  /// single producer (computes each observation's route, pushes a pointer),
-  /// each shard's worker the single consumer.  Results are independent of
-  /// scheduling — each shard still sees exactly its observations in batch
-  /// order.  Pools with fewer threads than shards fall back to the two-pass
-  /// partition/ingest barrier; zero-thread pools run serially inline.
-  void ingest_batch(std::span<const Observation> batch, util::WorkerPool& pool);
-
-  /// Zero-copy pipelined frame ingest.  Each frame is strictly validated
-  /// first (FrameView::parse — reject-whole, identical acceptance to
-  /// decode_batch_frame), then its ObservationViews are routed into the
-  /// per-shard rings and folded by shard-local interned ingest.  No
+  /// Zero-copy frame ingest.  Each frame is strictly validated first
+  /// (FrameView::parse — reject-whole, identical acceptance to
+  /// decode_batch_frame), then its ObservationViews are routed to their
+  /// shards and folded by shard-local interned ingest.  Pipelined through
+  /// per-shard SPSC rings when `pool` has a worker per shard, inline on the
+  /// caller's thread otherwise; each shard sees exactly its observations in
+  /// frame order either way, so results are independent of scheduling.  No
   /// per-observation allocation.  Frames must stay alive for the duration
   /// of the call (views alias frame bytes).
   struct FrameIngestStats {
@@ -111,7 +102,7 @@ class ShardedStore {
   std::uint64_t servfail_responses() const noexcept;
 
   /// Bind every shard's store counters under a {shard="i"} label, plus
-  /// batch-level counters (batches ingested, batch-size histogram).
+  /// frame-level counters (frames ingested, observations per frame).
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
@@ -120,12 +111,9 @@ class ShardedStore {
     obs::LatencyHistogram batch_observations;
   };
 
-  /// Per-shard SPSC ring capacity for the pipelined paths.  Deep enough to
+  /// Per-shard SPSC ring capacity for the pipelined mode.  Deep enough to
   /// absorb scheduling jitter, small enough to stay cache-resident.
   static constexpr std::size_t kRingCapacity = 4096;
-
-  void ingest_batch_twopass(std::span<const Observation> batch,
-                            util::WorkerPool& pool);
 
   StoreConfig config_;
   std::vector<PassiveDnsStore> shards_;

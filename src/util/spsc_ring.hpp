@@ -3,7 +3,7 @@
 // The ingest fast path (pdns/sharded_store) keeps one of these per shard:
 // the decode/route thread pushes routed observations while each shard's
 // owner thread pops and folds them, so decoding, routing, and shard ingest
-// pipeline concurrently instead of meeting at a two-pass barrier.
+// run concurrently instead of one after another.
 //
 // Contract: exactly one producer thread and exactly one consumer thread.
 // The producer owns `tail_`, the consumer owns `head_`; each side reads the

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -589,7 +590,7 @@ TEST(DurableStore, FsckReportsCleanAndDirtyDirectories) {
   ASSERT_EQ(report.manifests.size(), 1u);
   EXPECT_TRUE(report.manifests[0].usable);
   EXPECT_EQ(report.frontier, 2u);
-  EXPECT_EQ(report.best_snapshot_batches, 2u);
+  EXPECT_EQ(report.frontier_base_batches, 2u);
   EXPECT_EQ(report.chain_deltas, 0u);
   EXPECT_EQ(report.orphaned_chain_files, 0u);
   EXPECT_EQ(report.stale_batches, 2u);  // retained pre-checkpoint segments
@@ -610,7 +611,112 @@ TEST(DurableStore, FsckReportsCleanAndDirtyDirectories) {
   EXPECT_EQ(report.recoverable_batches, 3u);  // all-or-nothing on the tail
 }
 
+/// Three open/close cycles leave WAL segments holding seqs 1-2, 3-4 and 5-6;
+/// losing the middle one strands the acked batches 5-6 behind a gap that
+/// open() stops at.  fsck must say so instead of calling the directory clean.
+TEST(DurableStore, FsckFlagsTheWalGapOpenStopsAt) {
+  const std::string dir = fresh_dir("ds_walgap");
+  const auto batches = make_batches(606, 6, 20);
+  for (std::size_t cycle = 0; cycle < 3; ++cycle) {
+    auto store = pdns::DurableStore::open(dir, {});
+    ASSERT_TRUE(store.has_value());
+    ASSERT_TRUE(store->ingest_batch(batches[2 * cycle]));
+    ASSERT_TRUE(store->ingest_batch(batches[2 * cycle + 1]));
+  }
+  const auto segments = pdns::Wal::list_segments(dir);
+  ASSERT_EQ(segments.size(), 3u);
+  std::filesystem::remove(segments[1].second);
+
+  const auto report = pdns::DurableStore::fsck(dir);
+  EXPECT_FALSE(report.clean);
+  EXPECT_EQ(report.replayable_batches, 2u);
+  EXPECT_EQ(report.batches_past_gap, 2u);
+  EXPECT_EQ(report.recoverable_batches, 2u);
+
+  auto recovered = pdns::DurableStore::open(dir, {});
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_TRUE(recovered->recovery().wal_gap_detected);
+  EXPECT_EQ(recovered->committed_batches(), report.recoverable_batches);
+  EXPECT_EQ(recovered->snapshot_bytes(), serial_snapshot(batches, 2));
+}
+
+/// A crash between a compaction's base write and its manifest commit leaves
+/// a valid base newer than the frontier.  fsck's frontier breakdown must
+/// name the base the frontier manifest pins, not the newest valid base.
+TEST(DurableStore, FsckFrontierNamesTheManifestsBase) {
+  const std::string dir = fresh_dir("ds_fsck_base");
+  const auto batches = make_batches(707, 4, 20);
+  {
+    auto store = pdns::DurableStore::open(dir, plain_config(1));
+    ASSERT_TRUE(store.has_value());
+    ASSERT_TRUE(store->ingest_batch(batches[0]));
+    ASSERT_TRUE(store->ingest_batch(batches[1]));
+    ASSERT_TRUE(store->checkpoint());
+    ASSERT_TRUE(store->ingest_batch(batches[2]));
+    ASSERT_TRUE(store->ingest_batch(batches[3]));
+    ASSERT_TRUE(util::write_file_atomic(
+        pdns::base_path(dir, 4),
+        pdns::encode_base_payload(4, store->materialize())));
+  }
+  const auto report = pdns::DurableStore::fsck(dir);
+  ASSERT_EQ(report.snapshots.size(), 2u);
+  EXPECT_EQ(report.snapshots[0].batches, 4u);
+  EXPECT_TRUE(report.snapshots[0].valid);
+  EXPECT_EQ(report.frontier, 2u);
+  EXPECT_EQ(report.frontier_base_batches, 2u);
+  EXPECT_EQ(report.chain_deltas, 0u);
+  EXPECT_EQ(report.orphaned_chain_files, 1u);
+  EXPECT_EQ(report.recoverable_batches, 4u);
+}
+
 // ------------------------------------------- manifest / delta-chain faults
+
+/// Every manifest corrupt, newest base intact: open() falls back to that
+/// base alone and replays the WAL past it to every acked batch.  fsck
+/// predicts the same frontier and flags the directory.
+TEST(DurableStore, EveryManifestCorruptFallsBackToNewestValidBase) {
+  const std::string dir = fresh_dir("ds_baseonly");
+  const auto batches = make_batches(808, 6, 25);
+  {
+    auto store = pdns::DurableStore::open(dir, plain_config(1));
+    ASSERT_TRUE(store.has_value());
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE(store->ingest_batch(batches[b]));
+      if (b == 1 || b == 3) {
+        ASSERT_TRUE(store->checkpoint());
+      }
+    }
+  }
+  const auto manifests = pdns::list_manifests(dir);
+  ASSERT_EQ(manifests.size(), 2u);
+  std::uint64_t seed = 900;
+  for (const auto& [frontier, path] : manifests) {
+    flip_byte_in_file(path, seed++);
+  }
+  const auto bases = pdns::list_bases(dir);
+  ASSERT_FALSE(bases.empty());
+  ASSERT_EQ(bases.front().first, 4u);
+
+  const auto report = pdns::DurableStore::fsck(dir);
+  EXPECT_FALSE(report.clean);
+  EXPECT_EQ(report.frontier, 4u);
+  EXPECT_EQ(report.frontier_base_batches, 4u);
+  EXPECT_EQ(report.replayable_batches, 2u);
+  EXPECT_EQ(report.recoverable_batches, 6u);
+
+  auto recovered = pdns::DurableStore::open(dir, plain_config(1));
+  ASSERT_TRUE(recovered.has_value());
+  const auto& info = recovered->recovery();
+  EXPECT_TRUE(info.snapshot_loaded);
+  EXPECT_EQ(info.snapshot_batches, 4u);
+  EXPECT_EQ(info.replayed_batches, 2u);
+  EXPECT_EQ(info.invalid_manifests, 2u);
+  EXPECT_EQ(info.invalid_snapshots, 0u);
+  EXPECT_TRUE(info.frontier_degraded);
+  EXPECT_FALSE(info.wal_gap_detected);
+  EXPECT_EQ(recovered->committed_batches(), 6u);
+  EXPECT_EQ(recovered->snapshot_bytes(), serial_snapshot(batches, 6));
+}
 
 /// Delta-only lineage (no compactions): corrupting the newest manifest must
 /// degrade recovery to a longer WAL replay, never to data loss.
@@ -732,6 +838,21 @@ TEST(DurableStore, MultiFaultCorruptionStillYieldsExactPrefix) {
 
 // ----------------------------------------------------------- crash harness
 
+/// Recovery open() of a crashed directory, after a read-only fsck of it:
+/// fsck runs the same scan, so it must predict exactly what open() restores.
+std::optional<pdns::DurableStore> fsck_then_open(const std::string& dir,
+                                                 std::size_t shards) {
+  const auto report = pdns::DurableStore::fsck(dir);
+  auto store = pdns::DurableStore::open(dir, script_config(shards));
+  if (store.has_value()) {
+    EXPECT_EQ(report.recoverable_batches, store->committed_batches()) << dir;
+    EXPECT_EQ(report.frontier, store->recovery().snapshot_batches) << dir;
+    EXPECT_EQ(report.replayable_batches, store->recovery().replayed_batches)
+        << dir;
+  }
+  return store;
+}
+
 /// The tentpole property.  For every I/O boundary `op` of the scripted
 /// ingest and every failure mode, kill the collector there, recover, and
 /// require:
@@ -740,7 +861,9 @@ TEST(DurableStore, MultiFaultCorruptionStillYieldsExactPrefix) {
 ///     is admitted (it must have become durable before the death —
 ///     FsyncStall's durable-but-unacked window);
 ///   - the recovered store's snapshot is byte-identical to an uninterrupted
-///     serial ingest of exactly the recovered batch prefix.
+///     serial ingest of exactly the recovered batch prefix;
+///   - a read-only fsck taken just before recovery predicts the frontier,
+///     the replayed batches and the committed count exactly.
 /// The scripted run exercises group commit (synchronous groups of one),
 /// delta checkpoints, compaction, manifest commits, and retention cleanup.
 void enumerate_crash_points(const std::string& tag, std::size_t shards,
@@ -759,7 +882,7 @@ void enumerate_crash_points(const std::string& tag, std::size_t shards,
     const auto result = run_script(dir, batches, shards, &probe);
     ASSERT_TRUE(result.opened);
     ASSERT_EQ(result.acked, batches.size());
-    auto recovered = pdns::DurableStore::open(dir, script_config(shards));
+    auto recovered = fsck_then_open(dir, shards);
     ASSERT_TRUE(recovered.has_value());
     EXPECT_EQ(recovered->snapshot_bytes(), want.back());
   }
@@ -781,7 +904,7 @@ void enumerate_crash_points(const std::string& tag, std::size_t shards,
       const auto result = run_script(dir, batches, shards, &crash);
       ASSERT_TRUE(crash.crashed()) << "op=" << op << " never fired";
 
-      auto recovered = pdns::DurableStore::open(dir, script_config(shards));
+      auto recovered = fsck_then_open(dir, shards);
       ASSERT_TRUE(recovered.has_value())
           << "op=" << op << " mode=" << static_cast<int>(mode);
       const std::uint64_t r = recovered->committed_batches();

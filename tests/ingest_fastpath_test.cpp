@@ -349,22 +349,21 @@ TEST(FastPathDifferential, ViewIngestMatchesObservationIngest) {
   EXPECT_EQ(via_views.intern_misses(), via_obs.intern_misses());
 }
 
-TEST(FastPathDifferential, PipelinedAndTwoPassBatchIngestAgree) {
+TEST(FastPathDifferential, PipelinedAndInlineFrameIngestAgree) {
   const auto stream = seeded_stream(5, 5e-8);
-  // pool(8) >= 8 shards: pipelined SPSC path.
-  pdns::ShardedStore pipelined(8);
-  {
-    util::WorkerPool pool(8);
-    pipelined.ingest_batch(stream, pool);
+  const auto frames = frames_of(stream, 1000);
+  // pool(8) >= 8 shards: pipelined SPSC path.  pool(2) < 8 shards: the
+  // under-provisioned pool folds inline, as does pool(0).
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  for (const std::size_t threads : {8u, 2u, 0u}) {
+    util::WorkerPool pool(threads);
+    pdns::ShardedStore sharded(8);
+    const auto stats = sharded.ingest_frames(frames, pool);
+    EXPECT_EQ(stats.observations, stream.size()) << "threads=" << threads;
+    snapshots.push_back(pdns::save_snapshot(sharded.merge()));
   }
-  // pool(2) < 8 shards: two-pass barrier fallback.
-  pdns::ShardedStore twopass(8);
-  {
-    util::WorkerPool pool(2);
-    twopass.ingest_batch(stream, pool);
-  }
-  EXPECT_EQ(pdns::save_snapshot(pipelined.merge()),
-            pdns::save_snapshot(twopass.merge()));
+  EXPECT_EQ(snapshots[0], snapshots[1]);
+  EXPECT_EQ(snapshots[0], snapshots[2]);
 }
 
 TEST(FastPathDifferential, RejectedFrameLeavesStoreUntouched) {

@@ -4,6 +4,7 @@
 // folding of per-shard analysis summaries and resolver stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -43,6 +44,18 @@ std::vector<pdns::Observation> seeded_stream(std::uint64_t seed,
   config.ok_fraction = 0.06;        // cover the NoError ingest branch
   config.servfail_fraction = 0.03;  // ...and the ServFail short-circuit
   return synth::NxHistoryStream(config).all();
+}
+
+/// The stream as consecutive SIE batch frames of `split` observations — the
+/// one way into a ShardedStore.
+std::vector<std::vector<std::uint8_t>> frames_of(
+    std::span<const pdns::Observation> stream, std::size_t split = 4096) {
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (std::size_t i = 0; i < stream.size(); i += split) {
+    const auto n = std::min(split, stream.size() - i);
+    frames.push_back(pdns::encode_batch_frame(stream.subspan(i, n)));
+  }
+  return frames;
 }
 
 // ------------------------------------------------------------- WorkerPool
@@ -108,10 +121,11 @@ TEST(ShardedStore, ShardCountIsClamped) {
 }
 
 TEST(ShardedStore, ScalarCountersSumAcrossShards) {
+  util::WorkerPool pool(0);
   pdns::ShardedStore sharded(4);
-  sharded.ingest(nx_obs("a.com", 1));
-  sharded.ingest(nx_obs("b.net", 2));
-  sharded.ingest(nx_obs("c.org", 3));
+  const std::vector<pdns::Observation> stream = {
+      nx_obs("a.com", 1), nx_obs("b.net", 2), nx_obs("c.org", 3)};
+  sharded.ingest_frames(frames_of(stream), pool);
   EXPECT_EQ(sharded.total_observations(), 3u);
   EXPECT_EQ(sharded.nx_responses(), 3u);
   const auto merged = sharded.merge();
@@ -136,7 +150,7 @@ TEST(MergeEquivalence, SnapshotByteIdenticalAcrossSeedsAndShardCounts) {
     for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
       util::WorkerPool pool(shards > 1 ? shards : 0);
       pdns::ShardedStore sharded(shards);
-      sharded.ingest_batch(stream, pool);
+      sharded.ingest_frames(frames_of(stream), pool);
       const auto merged = sharded.merge();
       EXPECT_EQ(pdns::save_snapshot(merged), want)
           << "seed=" << seed << " shards=" << shards;
@@ -145,17 +159,6 @@ TEST(MergeEquivalence, SnapshotByteIdenticalAcrossSeedsAndShardCounts) {
       EXPECT_EQ(merged.servfail_responses(), serial.servfail_responses());
     }
   }
-}
-
-TEST(MergeEquivalence, SerialShardIngestMatchesBatchIngest) {
-  const auto stream = seeded_stream(11, 1e-7);
-  util::WorkerPool pool(4);
-  pdns::ShardedStore batched(4);
-  batched.ingest_batch(stream, pool);
-  pdns::ShardedStore one_by_one(4);
-  for (const auto& obs : stream) one_by_one.ingest(obs);
-  EXPECT_EQ(pdns::save_snapshot(batched.merge()),
-            pdns::save_snapshot(one_by_one.merge()));
 }
 
 TEST(MergeEquivalence, ParallelGenerationMatchesSerialGeneration) {
@@ -178,8 +181,10 @@ TEST(MergeEquivalence, ParallelGenerationMatchesSerialGeneration) {
 TEST(MergeEquivalence, StoreConfigPropagatesToShards) {
   pdns::StoreConfig config;
   config.track_daily = false;
+  util::WorkerPool pool(0);
   pdns::ShardedStore sharded(2, config);
-  sharded.ingest(nx_obs("x.com", 3));
+  const std::vector<pdns::Observation> stream = {nx_obs("x.com", 3)};
+  sharded.ingest_frames(frames_of(stream), pool);
   const auto merged = sharded.merge();
   const auto* agg = merged.domain("x.com");
   ASSERT_NE(agg, nullptr);
@@ -215,7 +220,7 @@ TEST(FoldExactness, ScaleSummariesFoldToMergedSummary) {
   const auto stream = seeded_stream(42, 1e-7);
   util::WorkerPool pool(4);
   pdns::ShardedStore sharded(4);
-  sharded.ingest_batch(stream, pool);
+  sharded.ingest_frames(frames_of(stream), pool);
 
   std::vector<analysis::ScaleSummary> parts;
   for (std::size_t i = 0; i < sharded.shard_count(); ++i) {
@@ -346,11 +351,7 @@ TEST(BatchFrames, ShardedFrameIngestMatchesSerialStore) {
   // ShardedStore::ingest_frames and merged must be byte-identical to a
   // serial PassiveDnsStore fed the same stream.
   const auto stream = seeded_stream(21, 5e-8);
-  std::vector<std::vector<std::uint8_t>> frames;
-  for (std::size_t i = 0; i < stream.size(); i += 777) {
-    const auto n = std::min<std::size_t>(777, stream.size() - i);
-    frames.push_back(pdns::encode_batch_frame(std::span(stream).subspan(i, n)));
-  }
+  const auto frames = frames_of(stream, 777);
 
   util::WorkerPool pool(4);
   pdns::ShardedStore sharded(4);

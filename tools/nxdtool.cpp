@@ -367,7 +367,7 @@ int cmd_fsck(int argc, char** argv) {
   }
   std::printf("  frontier: %llu batches (%llu base + %llu chain deltas)\n",
               static_cast<unsigned long long>(report.frontier),
-              static_cast<unsigned long long>(report.best_snapshot_batches),
+              static_cast<unsigned long long>(report.frontier_base_batches),
               static_cast<unsigned long long>(report.chain_deltas));
   std::printf("  wal: %llu segments, %llu records "
               "(%llu replayable, %llu stale)\n",
@@ -378,6 +378,11 @@ int cmd_fsck(int argc, char** argv) {
   if (report.wal_tail_truncated) {
     std::printf("  torn wal tail: %llu bytes would be discarded\n",
                 static_cast<unsigned long long>(report.discarded_wal_bytes));
+  }
+  if (report.batches_past_gap > 0) {
+    std::printf("  wal gap: %llu batches past it are unreachable (replay "
+                "stops at the gap)\n",
+                static_cast<unsigned long long>(report.batches_past_gap));
   }
   if (report.orphaned_chain_files > 0) {
     std::printf("  orphaned chain files: %llu (no valid manifest references "
@@ -400,10 +405,11 @@ int cmd_fsck(int argc, char** argv) {
     return 0;
   }
   std::printf("  NOT CLEAN (%llu corrupt manifests, %llu corrupt bases"
-              "%s%s%s) — run `nxdtool recover %s`\n",
+              "%s%s%s%s) — run `nxdtool recover %s`\n",
               static_cast<unsigned long long>(corrupt_manifests),
               static_cast<unsigned long long>(corrupt_snapshots),
               report.wal_tail_truncated ? ", torn wal tail" : "",
+              report.batches_past_gap > 0 ? ", wal gap" : "",
               report.orphaned_chain_files > 0 ? ", orphaned chain files" : "",
               report.tmp_files > 0 ? ", leftover temporaries" : "",
               dir.c_str());
