@@ -21,8 +21,9 @@
 //
 // Usage: overload_shed [--seed=42] [--sources=32] [--rate=4]
 //                      [--duration=30] [--json=BENCH_overload.json]
-//                      [--snapshot=PATH]   also write the 10x run's load
-//                                          snapshot (for nxdtool loadstats)
+//                      [--snapshot=PATH]   also write the 10x run's gate and
+//                                          recorder series as an nxd-metrics
+//                                          v1 snapshot (nxdtool loadstats)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -100,6 +101,12 @@ int main(int argc, char** argv) {
     guard.per_ip_rate = rate;
     guard.per_ip_burst = 2 * rate;
     server.enable_overload(guard);
+    const bool snapshot = load == 10 && !snapshot_path.empty();
+    obs::MetricsRegistry registry;
+    if (snapshot) {
+      server.gate()->bind_metrics(registry);
+      recorder.bind_metrics(registry);
+    }
 
     util::SimClock clock;
     util::Rng rng(seed + static_cast<std::uint64_t>(load));
@@ -178,17 +185,9 @@ int main(int argc, char** argv) {
     }
     results.push_back(r);
 
-    if (load == 10 && !snapshot_path.empty()) {
-      honeypot::LoadSnapshot snapshot;
-      snapshot.add_overload("honeypot", stats);
-      snapshot.add("recorder.records", recorder.total());
-      snapshot.add("recorder.shed_connections", recorder.shed_connections());
-      snapshot.add("recorder.expired_connections",
-                   recorder.expired_connections());
-      snapshot.add("recorder.drained_connections",
-                   recorder.drained_connections());
+    if (snapshot) {
       if (std::FILE* f = std::fopen(snapshot_path.c_str(), "w")) {
-        std::fputs(snapshot.to_text().c_str(), f);
+        std::fputs(registry.snapshot().to_text().c_str(), f);
         std::fclose(f);
       }
     }

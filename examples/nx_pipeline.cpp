@@ -30,10 +30,12 @@
 //                   overload run: replay a seeded flood + slowloris barrage
 //                   against a honeypot guarded by the overload layer
 //                   (honeypot/overload.hpp) with that connection cap, per-IP
-//                   request rate, and drain grace, then print the load
-//                   snapshot (pipe it to a file for `nxdtool loadstats`).
-//                   Any of the three flags enables the section; the default
-//                   run is untouched.
+//                   request rate, and drain grace, then print the gate's
+//                   and recorder's series as an "nxd-metrics v1" snapshot
+//                   (bench/overload_shed --snapshot writes the same format
+//                   to a file for `nxdtool loadstats`).  Any of the three
+//                   flags enables the section; the default run is
+//                   untouched.
 //               [--metrics-every=N] [--metrics-out=<path>]
 //                   observability run: every module shares one obs registry.
 //                   --metrics-every=N prints a live Prometheus snapshot every
@@ -819,10 +821,12 @@ int main(int argc, char** argv) {
     guard.drain_deadline =
         std::max<util::SimTime>(1, (drain_ms + 999) / 1'000);
     ol_server.enable_overload(guard);
-    if (obs_enabled) {
-      ol_server.gate()->bind_metrics(registry);
-      ol_recorder.bind_metrics(registry);
-    }
+    // The section's load snapshot is the gate's and recorder's series: in
+    // the shared registry when one is on, in a local one otherwise.
+    obs::MetricsRegistry ol_local;
+    obs::MetricsRegistry& ol_metrics = obs_enabled ? registry : ol_local;
+    ol_server.gate()->bind_metrics(ol_metrics);
+    ol_recorder.bind_metrics(ol_metrics);
     if (telemetry_enabled) {
       ol_server.trace_spans(&spans);
       ol_recorder.trace_spans(&spans);
@@ -897,15 +901,11 @@ int main(int argc, char** argv) {
     ol_clock.advance(guard.drain_deadline + 1);
     ol_server.reap_expired(ol_clock.now());
 
-    honeypot::LoadSnapshot snapshot;
-    snapshot.add_overload("honeypot", ol_server.gate()->stats());
-    snapshot.add("recorder.records", ol_recorder.total());
-    snapshot.add("recorder.shed_connections", ol_recorder.shed_connections());
-    snapshot.add("recorder.expired_connections",
-                 ol_recorder.expired_connections());
-    snapshot.add("recorder.drained_connections",
-                 ol_recorder.drained_connections());
-    std::fputs(snapshot.to_text().c_str(), stdout);
+    obs::MetricsSnapshot load = ol_metrics.snapshot();
+    std::erase_if(load.series, [](const obs::SnapshotSeries& series) {
+      return !series.name.starts_with("nxd_honeypot_");
+    });
+    std::fputs(load.to_text().c_str(), stdout);
     std::printf("(drain complete: %s)\n",
                 ol_server.drain_complete() ? "yes" : "no");
   }

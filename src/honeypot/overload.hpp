@@ -99,9 +99,45 @@ struct OverloadStats {
   friend bool operator==(const OverloadStats&, const OverloadStats&) = default;
 };
 
+/// Every OverloadStats counter and the registry series mirroring it.
+inline constexpr obs::CounterSpec<OverloadStats> kOverloadCounters[] = {
+    {&OverloadStats::opened, "nxd_honeypot_conns_opened_total",
+     "Connections that reached the gate"},
+    {&OverloadStats::accepted, "nxd_honeypot_conns_accepted_total",
+     "Connections admitted"},
+    {&OverloadStats::completed, "nxd_honeypot_conns_completed_total",
+     "Connections closed after a full request"},
+    {&OverloadStats::aborted, "nxd_honeypot_conns_aborted_total",
+     "Connections the peer closed early"},
+    {&OverloadStats::shed_capacity, "nxd_honeypot_conns_shed_total",
+     "Connections shed, by reason", "reason", "capacity"},
+    {&OverloadStats::shed_rate, "nxd_honeypot_conns_shed_total",
+     "Connections shed, by reason", "reason", "rate"},
+    {&OverloadStats::shed_draining, "nxd_honeypot_conns_shed_total",
+     "Connections shed, by reason", "reason", "draining"},
+    {&OverloadStats::shed_pressure, "nxd_honeypot_conns_shed_total",
+     "Connections shed, by reason", "reason", "pressure"},
+    {&OverloadStats::expired_header, "nxd_honeypot_conns_expired_total",
+     "Connections reaped at a deadline, by phase", "phase", "header"},
+    {&OverloadStats::expired_body, "nxd_honeypot_conns_expired_total",
+     "Connections reaped at a deadline, by phase", "phase", "body"},
+    {&OverloadStats::expired_idle, "nxd_honeypot_conns_expired_total",
+     "Connections reaped at a deadline, by phase", "phase", "idle"},
+    {&OverloadStats::drained_completed, "nxd_honeypot_drained_completed_total",
+     "In-flight requests finished during drain"},
+    {&OverloadStats::drain_forced_closes,
+     "nxd_honeypot_drain_forced_closes_total",
+     "Connections force-closed at the drain deadline"},
+    {&OverloadStats::rate_sources_evicted,
+     "nxd_honeypot_rate_sources_evicted_total", "Idle per-IP buckets swept"},
+    {&OverloadStats::rate_table_overflow,
+     "nxd_honeypot_rate_table_overflow_total",
+     "Connections admitted unmetered: bucket table full"},
+};
+
 class ConnectionGate {
  public:
-  explicit ConnectionGate(OverloadConfig config = {});
+  explicit ConnectionGate(OverloadConfig config = {}) : config_(config) {}
 
   struct Admission {
     std::uint64_t id = 0;  // valid only when decision == Accept
@@ -138,10 +174,10 @@ class ConnectionGate {
   std::size_t active() const noexcept { return conns_.size(); }
   std::size_t tracked_sources() const noexcept { return buckets_.size(); }
   const OverloadConfig& config() const noexcept { return config_; }
-  const OverloadStats& stats() const noexcept;
+  const OverloadStats& stats() const noexcept { return counters_.stats(); }
 
-  /// Source the OverloadStats fields from a shared registry (current values
-  /// carry over).
+  /// Mirror the OverloadStats counters and the active-connection gauge into
+  /// a shared registry (current values carry over).
   void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Subscribe to the system-wide degradation ladder: at pressure level L
@@ -161,33 +197,12 @@ class ConnectionGate {
     bool headers_done = false;
   };
 
-  struct Metrics {
-    obs::Counter opened;
-    obs::Counter accepted;
-    obs::Counter completed;
-    obs::Counter aborted;
-    obs::Counter shed_capacity;
-    obs::Counter shed_rate;
-    obs::Counter shed_draining;
-    obs::Counter shed_pressure;
-    obs::Counter expired_header;
-    obs::Counter expired_body;
-    obs::Counter expired_idle;
-    obs::Counter drained_completed;
-    obs::Counter drain_forced_closes;
-    obs::Counter rate_sources_evicted;
-    obs::Counter rate_table_overflow;
-    obs::Gauge active;
-  };
-
   bool rate_admit(net::IPv4 source, util::SimTime now);
   std::optional<util::SimTime> effective_deadline(const Conn& conn) const;
   void arm(std::uint64_t id, const Conn& conn);
   ExpireReason classify(const Conn& conn) const;
-  void acquire_metrics(obs::MetricsRegistry& registry);
 
   OverloadConfig config_;
-  mutable OverloadStats stats_;  // cache refreshed from handles by stats()
   std::unordered_map<std::uint64_t, Conn> conns_;
   util::DeadlineQueue deadlines_;
   std::unordered_map<net::IPv4, util::TokenBucket, dns::IPv4Hash> buckets_;
@@ -195,26 +210,8 @@ class ConnectionGate {
   bool draining_ = false;
   util::SimTime drain_started_ = 0;
   const obs::PressureSignal* pressure_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
-  Metrics m_;
-};
-
-/// Flat named-counter snapshot of the serving layer's load counters
-/// (honeypot shed/expired/drained, recorder totals, DNS RRL verdicts).
-/// Text format, one `name value` pair per line under a versioned header —
-/// written by the overload bench / pipeline, read back by
-/// `nxdtool loadstats`.
-struct LoadSnapshot {
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-
-  void add(std::string name, std::uint64_t value) {
-    counters.emplace_back(std::move(name), value);
-  }
-  /// Append every OverloadStats field under a `prefix.` namespace.
-  void add_overload(const std::string& prefix, const OverloadStats& stats);
-
-  std::string to_text() const;
-  static std::optional<LoadSnapshot> parse(std::string_view text);
+  obs::StatsCounters<OverloadStats, kOverloadCounters> counters_;
+  obs::Gauge active_;  // null until bind_metrics()
 };
 
 }  // namespace nxd::honeypot

@@ -10,38 +10,15 @@ std::string to_string(HostingPlatform p) {
 }
 
 void TrafficRecorder::bind_metrics(obs::MetricsRegistry& registry) {
-  m_.records = registry.counter("nxd_honeypot_records_total",
-                                "Traffic records captured");
-  m_.capture_drops =
-      registry.counter("nxd_honeypot_capture_drops_total",
-                       "Packets the capture fault stage dropped");
-  m_.oversize_payloads =
-      registry.counter("nxd_honeypot_oversize_payloads_total",
-                       "Payloads truncated to the per-record byte cap");
-  m_.shed_connections =
-      registry.counter("nxd_honeypot_recorder_shed_connections_total",
-                       "Shed connections noted by the serving side");
-  m_.expired_connections =
-      registry.counter("nxd_honeypot_recorder_expired_connections_total",
-                       "Deadline-reaped connections noted");
-  m_.drained_connections =
-      registry.counter("nxd_honeypot_recorder_drained_connections_total",
-                       "Connections finished during drain");
-  m_.payload_bytes = registry.histogram("nxd_honeypot_payload_bytes",
-                                        "Captured payload sizes in bytes");
-  m_.records.inc(records_.size());
-  m_.capture_drops.inc(capture_drops_);
-  m_.oversize_payloads.inc(oversize_payloads_);
-  m_.shed_connections.inc(shed_connections_);
-  m_.expired_connections.inc(expired_connections_);
-  m_.drained_connections.inc(drained_connections_);
+  counters_.bind(registry);
+  payload_bytes_ = registry.histogram("nxd_honeypot_payload_bytes",
+                                      "Captured payload sizes in bytes");
 }
 
 void TrafficRecorder::record(TrafficRecord record) {
   if (max_payload_bytes_ != 0 && record.payload.size() > max_payload_bytes_) {
     record.payload.resize(max_payload_bytes_);
-    ++oversize_payloads_;
-    m_.oversize_payloads.inc();
+    counters_.inc<&Counts::oversize_payloads>();
   }
   bool duplicate = false;
   if (fault_plan_ != nullptr && !fault_plan_->empty()) {
@@ -52,12 +29,11 @@ void TrafficRecorder::record(TrafficRecord record) {
     const auto verdict = fault_plan_->apply(
         net::Endpoint{dns::IPv4{}, record.dst_port}, payload, record.when);
     if (verdict.drop) {
-      ++capture_drops_;
-      m_.capture_drops.inc();
+      counters_.inc<&Counts::capture_drops>();
       if (spans_ != nullptr) {
-        const obs::SpanId s =
-            spans_->trace_root(capture_drops_, "capture_drop", record.when,
-                               std::to_string(record.dst_port));
+        const obs::SpanId s = spans_->trace_root(
+            counts().capture_drops, "capture_drop", record.when,
+            std::to_string(record.dst_port), span_instance_);
         spans_->end(s, record.when,
                     static_cast<std::int64_t>(record.payload.size()));
       }
@@ -68,12 +44,12 @@ void TrafficRecorder::record(TrafficRecord record) {
     duplicate = verdict.duplicate;
   }
   port_counts_.add(std::to_string(record.dst_port));
-  m_.payload_bytes.observe(record.payload.size());
-  m_.records.inc();
+  payload_bytes_.observe(record.payload.size());
+  counters_.inc<&Counts::records>();
   if (duplicate) {
     port_counts_.add(std::to_string(record.dst_port));
-    m_.payload_bytes.observe(record.payload.size());
-    m_.records.inc();
+    payload_bytes_.observe(record.payload.size());
+    counters_.inc<&Counts::records>();
     records_.push_back(record);
   }
   records_.push_back(std::move(record));

@@ -52,7 +52,7 @@ class TrafficRecorder {
   /// — the capture-plane analogue of pcap loss on a saturated sensor.  The
   /// plan must outlive the recorder; nullptr disables.
   void set_fault_plan(net::FaultPlan* plan) noexcept { fault_plan_ = plan; }
-  std::uint64_t capture_drops() const noexcept { return capture_drops_; }
+  std::uint64_t capture_drops() const noexcept { return counts().capture_drops; }
 
   /// Bound per-record memory: payloads longer than this are truncated to the
   /// cap before storage and counted in `oversize_payloads()`.  0 (default)
@@ -61,7 +61,9 @@ class TrafficRecorder {
   /// without limit — the recorder keeps the evidentiary prefix only.
   void set_max_payload_bytes(std::size_t cap) noexcept { max_payload_bytes_ = cap; }
   std::size_t max_payload_bytes() const noexcept { return max_payload_bytes_; }
-  std::uint64_t oversize_payloads() const noexcept { return oversize_payloads_; }
+  std::uint64_t oversize_payloads() const noexcept {
+    return counts().oversize_payloads;
+  }
 
   /// Overload-guard events on the serving side of the sensor (see
   /// honeypot/overload.hpp).  Shed connections are refused before any work
@@ -69,20 +71,23 @@ class TrafficRecorder {
   /// (their partial bytes are still captured); drained ones finished
   /// in-flight during graceful shutdown.
   void note_shed_connection() noexcept {
-    ++shed_connections_;
-    m_.shed_connections.inc();
+    counters_.inc<&Counts::shed_connections>();
   }
   void note_expired_connection() noexcept {
-    ++expired_connections_;
-    m_.expired_connections.inc();
+    counters_.inc<&Counts::expired_connections>();
   }
   void note_drained_connection() noexcept {
-    ++drained_connections_;
-    m_.drained_connections.inc();
+    counters_.inc<&Counts::drained_connections>();
   }
-  std::uint64_t shed_connections() const noexcept { return shed_connections_; }
-  std::uint64_t expired_connections() const noexcept { return expired_connections_; }
-  std::uint64_t drained_connections() const noexcept { return drained_connections_; }
+  std::uint64_t shed_connections() const noexcept {
+    return counts().shed_connections;
+  }
+  std::uint64_t expired_connections() const noexcept {
+    return counts().expired_connections;
+  }
+  std::uint64_t drained_connections() const noexcept {
+    return counts().drained_connections;
+  }
 
   const std::vector<TrafficRecord>& records() const noexcept { return records_; }
   std::uint64_t total() const noexcept { return records_.size(); }
@@ -99,36 +104,57 @@ class TrafficRecorder {
   void clear();
 
   /// Mirror capture-plane counters into a shared registry (current values
-  /// carry over).
+  /// carry over; the payload-size histogram starts empty).
   void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Record each capture drop as a zero-duration "capture_drop" root span
   /// (value = payload bytes lost, detail = destination port), keyed by the
   /// drop count.  nullptr stops.
-  void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
+  void trace_spans(obs::SpanTracer* spans) {
+    if (spans != nullptr && spans != spans_) {
+      span_instance_ = spans->attach("recorder");
+    }
+    spans_ = spans;
+  }
 
  private:
-  struct Metrics {
-    obs::Counter records;
-    obs::Counter capture_drops;
-    obs::Counter oversize_payloads;
-    obs::Counter shed_connections;
-    obs::Counter expired_connections;
-    obs::Counter drained_connections;
-    obs::LatencyHistogram payload_bytes;
+  /// `records` counts captures, so it equals records_.size() until clear().
+  struct Counts {
+    std::uint64_t records = 0;
+    std::uint64_t capture_drops = 0;
+    std::uint64_t oversize_payloads = 0;
+    std::uint64_t shed_connections = 0;
+    std::uint64_t expired_connections = 0;
+    std::uint64_t drained_connections = 0;
+  };
+  static constexpr obs::CounterSpec<Counts> kCounters[] = {
+      {&Counts::records, "nxd_honeypot_records_total",
+       "Traffic records captured"},
+      {&Counts::capture_drops, "nxd_honeypot_capture_drops_total",
+       "Packets the capture fault stage dropped"},
+      {&Counts::oversize_payloads, "nxd_honeypot_oversize_payloads_total",
+       "Payloads truncated to the per-record byte cap"},
+      {&Counts::shed_connections,
+       "nxd_honeypot_recorder_shed_connections_total",
+       "Shed connections noted by the serving side"},
+      {&Counts::expired_connections,
+       "nxd_honeypot_recorder_expired_connections_total",
+       "Deadline-reaped connections noted"},
+      {&Counts::drained_connections,
+       "nxd_honeypot_recorder_drained_connections_total",
+       "Connections finished during drain"},
   };
 
-  Metrics m_;
+  const Counts& counts() const noexcept { return counters_.stats(); }
+
+  obs::StatsCounters<Counts, kCounters> counters_;
+  obs::LatencyHistogram payload_bytes_;  // null until bind_metrics()
   obs::SpanTracer* spans_ = nullptr;
+  std::uint64_t span_instance_ = 0;  // ordinal on spans_ (attach())
   std::vector<TrafficRecord> records_;
   util::Counter port_counts_;
   net::FaultPlan* fault_plan_ = nullptr;
-  std::uint64_t capture_drops_ = 0;
   std::size_t max_payload_bytes_ = 0;
-  std::uint64_t oversize_payloads_ = 0;
-  std::uint64_t shed_connections_ = 0;
-  std::uint64_t expired_connections_ = 0;
-  std::uint64_t drained_connections_ = 0;
 };
 
 }  // namespace nxd::honeypot

@@ -230,7 +230,7 @@ std::optional<std::vector<std::uint8_t>> NxdHoneypot::process_packet(
 obs::SpanId NxdHoneypot::open_span(std::uint64_t id, const net::Endpoint& src,
                                    util::SimTime now) {
   if (spans_ == nullptr) return {};
-  return spans_->trace_root(id, "conn", now, src.to_string());
+  return spans_->trace_root(id, "conn", now, src.to_string(), span_instance_);
 }
 
 std::vector<std::uint8_t> NxdHoneypot::refuse(AdmitDecision decision,
@@ -239,8 +239,9 @@ std::vector<std::uint8_t> NxdHoneypot::refuse(AdmitDecision decision,
   ++responses_;
   const bool rate = decision == AdmitDecision::ShedRate;
   if (spans_ != nullptr) {
-    const obs::SpanId s = spans_->trace_root(++shed_seq_, "conn_shed", now,
-                                             shed_reason_name(decision));
+    const obs::SpanId s =
+        spans_->trace_root(++shed_seq_, "conn_shed", now,
+                           shed_reason_name(decision), span_instance_);
     spans_->end(s, now, rate ? 429 : 503);
   }
   return wire_bytes(

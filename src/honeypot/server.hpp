@@ -90,7 +90,12 @@ class NxdHoneypot {
   /// "abort"; and one zero-duration "conn_shed" root per refused connection
   /// (value = HTTP status, detail = shed reason).  SimTime timestamps, so
   /// seeded runs export byte-stable spans.  nullptr stops.
-  void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
+  void trace_spans(obs::SpanTracer* spans) {
+    if (spans != nullptr && spans != spans_) {
+      span_instance_ = spans->attach("honeypot");
+    }
+    spans_ = spans;
+  }
 
   /// Handle one captured packet: record it, and if it parses as an HTTP
   /// request produce the landing-page (or 404) response bytes.  With an
@@ -203,6 +208,7 @@ class NxdHoneypot {
   const obs::MetricsRegistry* metrics_ = nullptr;
   std::function<std::string()> slo_provider_;
   obs::SpanTracer* spans_ = nullptr;
+  std::uint64_t span_instance_ = 0;  // ordinal on spans_ (attach())
   std::string admin_token_;
   std::map<std::string, HttpResponse> routes_;
   std::uint64_t responses_ = 0;

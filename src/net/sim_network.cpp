@@ -11,10 +11,7 @@ void SimNetwork::detach(const Endpoint& ep, Protocol proto) {
 }
 
 void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
-  m_.delivered = registry.counter("nxd_net_packets_delivered_total",
-                                  "Packets handed to an attached service");
-  m_.dropped = registry.counter("nxd_net_packets_dropped_total",
-                                "Packets to unattached endpoints");
+  counters_.bind(registry);
   const std::string help = "Injected faults by kind";
   m_.fault_drops = registry.counter("nxd_net_faults_total", help,
                                     {{"kind", "drop"}});
@@ -31,9 +28,7 @@ void SimNetwork::bind_metrics(obs::MetricsRegistry& registry) {
   m_.fault_delay_seconds =
       registry.counter("nxd_net_fault_delay_seconds_total",
                        "Total simulated transit delay injected");
-  // Carry what this network already counted.
-  m_.delivered.inc(delivered_);
-  m_.dropped.inc(dropped_);
+  // Carry what the plan already counted.
   mirror_faults(FaultStats{}, fault_plan_.stats());
   metrics_bound_ = true;
 }
@@ -46,7 +41,8 @@ void SimNetwork::mirror_faults(const FaultStats& before,
     if (a <= b) return;  // no new faults (or the plan was reset/swapped)
     c.inc(a - b);
     if (spans_ != nullptr) {
-      const obs::SpanId s = spans_->trace_root(++fault_seq_, "fault", now, kind);
+      const obs::SpanId s =
+          spans_->trace_root(++fault_seq_, "fault", now, kind, span_instance_);
       spans_->end(s, now, static_cast<std::int64_t>(a - b));
     }
   };
@@ -79,18 +75,15 @@ std::optional<std::vector<std::uint8_t>> SimNetwork::send(const SimPacket& packe
     last_delay_ = verdict.delay;
     const auto it = services_.find(ServiceKey{packet.dst, packet.protocol});
     if (it == services_.end()) {
-      ++dropped_;
-      m_.dropped.inc();
+      counters_.inc<&Counts::dropped>();
       return std::nullopt;
     }
-    ++delivered_;
-    m_.delivered.inc();
+    counters_.inc<&Counts::delivered>();
     auto reply = it->second(shaped);
     if (verdict.duplicate) {
       // The duplicate reaches the service too; its reply is discarded (the
       // client already has the first one — classic UDP retransmit noise).
-      ++delivered_;
-      m_.delivered.inc();
+      counters_.inc<&Counts::delivered>();
       it->second(shaped);
     }
     return reply;
@@ -98,12 +91,10 @@ std::optional<std::vector<std::uint8_t>> SimNetwork::send(const SimPacket& packe
 
   const auto it = services_.find(ServiceKey{packet.dst, packet.protocol});
   if (it == services_.end()) {
-    ++dropped_;
-    m_.dropped.inc();
+    counters_.inc<&Counts::dropped>();
     return std::nullopt;
   }
-  ++delivered_;
-  m_.delivered.inc();
+  counters_.inc<&Counts::delivered>();
   return it->second(packet);
 }
 

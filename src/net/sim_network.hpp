@@ -88,8 +88,8 @@ class SimNetwork {
   /// round-trip estimate.
   util::SimTime last_injected_delay() const noexcept { return last_delay_; }
 
-  std::uint64_t delivered() const noexcept { return delivered_; }
-  std::uint64_t dropped() const noexcept { return dropped_; }
+  std::uint64_t delivered() const noexcept { return counts().delivered; }
+  std::uint64_t dropped() const noexcept { return counts().dropped; }
 
   /// Mirror delivery and fault-injection counts into a shared registry.
   /// Fault counters mirror per-send deltas of the plan's own stats, so they
@@ -100,12 +100,26 @@ class SimNetwork {
   /// Record each injected fault as a zero-duration "fault" root span
   /// (value = count, detail = fault kind), keyed by a per-network fault
   /// sequence number.  nullptr stops.
-  void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
+  void trace_spans(obs::SpanTracer* spans) {
+    if (spans != nullptr && spans != spans_) {
+      span_instance_ = spans->attach("net");
+    }
+    spans_ = spans;
+  }
 
  private:
-  struct Metrics {
-    obs::Counter delivered;
-    obs::Counter dropped;
+  struct Counts {
+    std::uint64_t delivered = 0;
+    std::uint64_t dropped = 0;
+  };
+  static constexpr obs::CounterSpec<Counts> kCounters[] = {
+      {&Counts::delivered, "nxd_net_packets_delivered_total",
+       "Packets handed to an attached service"},
+      {&Counts::dropped, "nxd_net_packets_dropped_total",
+       "Packets to unattached endpoints"},
+  };
+  /// Handles for the plan's FaultStats mirror (see mirror_faults).
+  struct FaultMetrics {
     obs::Counter fault_drops;
     obs::Counter fault_duplicates;
     obs::Counter fault_corruptions;
@@ -117,16 +131,17 @@ class SimNetwork {
 
   /// Mirror the per-send change in the plan's FaultStats into the registry.
   void mirror_faults(const FaultStats& before, const FaultStats& after);
+  const Counts& counts() const noexcept { return counters_.stats(); }
 
   std::unordered_map<ServiceKey, Service, ServiceKeyHash> services_;
   FaultPlan fault_plan_;
   const util::SimClock* clock_ = nullptr;
   util::SimTime last_delay_ = 0;
-  std::uint64_t delivered_ = 0;
-  std::uint64_t dropped_ = 0;
+  obs::StatsCounters<Counts, kCounters> counters_;
   bool metrics_bound_ = false;
-  Metrics m_;
+  FaultMetrics m_;
   obs::SpanTracer* spans_ = nullptr;
+  std::uint64_t span_instance_ = 0;  // ordinal on spans_ (attach())
   std::uint64_t fault_seq_ = 0;  // span sampling key for fault roots
 };
 

@@ -1,9 +1,10 @@
 // Unified metrics substrate for the whole pipeline.
 //
 // Every serving and ingest layer (pdns stores, resolver, honeypot, sim
-// network) keeps its existing public stats struct, but the fields are backed
-// by handles into one `MetricsRegistry` so a single snapshot shows the whole
-// pipeline at once.  Design constraints, in order:
+// network) counts its own work, and mirrors those counts into one shared
+// `MetricsRegistry` so a single snapshot shows the whole pipeline at once.
+// Serving-side components keep the count in their stats struct and the
+// mirror in a `StatsCounters` (below).  Design constraints, in order:
 //
 //  * Hot-path cost: a handle is one relaxed atomic RMW on registry-owned
 //    storage.  A default-constructed handle is null and every operation on
@@ -24,6 +25,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -222,6 +224,66 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;  // guards map structure; cells are atomics
   std::map<SeriesKey, std::unique_ptr<Series>> series_;
+};
+
+/// One counter of a component's stats struct `S`: the field that holds the
+/// per-instance count and the registry series that mirrors it.
+template <class S>
+struct CounterSpec {
+  std::uint64_t S::*field;
+  const char* name;
+  const char* help;
+  const char* label_key = nullptr;  ///< optional single label, e.g. proto
+  const char* label_value = nullptr;
+};
+
+/// The counter model of a serving-side component.  The stats struct `S` is
+/// the count of this one instance; once bound, the registry mirrors it,
+/// summed over every instance bound to the same registry.  `Table` (an
+/// array of CounterSpec<S>) declares each counter once.
+///
+/// inc<&S::x>() resolves the handle at compile time: an increment is one
+/// plain add, plus one relaxed atomic add when bound — no lookup, no
+/// allocation, no lock.  The struct is plain memory, so one instance is
+/// driven by one thread at a time; instances on different threads may share
+/// a registry.
+template <class S, const auto& Table>
+class StatsCounters {
+ public:
+  template <std::uint64_t S::*Field>
+  void inc(std::uint64_t n = 1) noexcept {
+    constexpr std::size_t i = index_of(Field);
+    stats_.*Field += n;
+    handles_[i].inc(n);
+  }
+
+  const S& stats() const noexcept { return stats_; }
+
+  /// Acquire every series of the table in `registry` and carry the current
+  /// counts in, so a late bind loses nothing.  Binding again moves the
+  /// mirror; the old registry keeps what it was sent.
+  void bind(MetricsRegistry& registry) {
+    for (std::size_t i = 0; i < std::size(Table); ++i) {
+      const CounterSpec<S>& spec = Table[i];
+      LabelSet labels;
+      if (spec.label_key != nullptr) {
+        labels.emplace_back(spec.label_key, spec.label_value);
+      }
+      handles_[i] = registry.counter(spec.name, spec.help, labels);
+      handles_[i].inc(stats_.*spec.field);
+    }
+  }
+
+ private:
+  static consteval std::size_t index_of(std::uint64_t S::*field) {
+    for (std::size_t i = 0; i < std::size(Table); ++i) {
+      if (Table[i].field == field) return i;
+    }
+    throw "counter field missing from its table";
+  }
+
+  S stats_{};
+  std::array<Counter, std::size(Table)> handles_{};
 };
 
 }  // namespace nxd::obs

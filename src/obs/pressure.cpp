@@ -16,38 +16,19 @@ const char* to_string(PressureLevel level) noexcept {
   return "?";
 }
 
-PressureSignal::PressureSignal(PressureThresholds thresholds)
-    : thresholds_(thresholds),
-      own_registry_(std::make_unique<MetricsRegistry>()) {
-  acquire_metrics(*own_registry_);
-}
-
-void PressureSignal::acquire_metrics(MetricsRegistry& registry) {
-  m_.raised = registry.counter("nxd_pressure_raised_total",
-                               "Degradation-ladder level steps climbed");
-  m_.lowered = registry.counter("nxd_pressure_lowered_total",
-                                "Degradation-ladder level steps released");
-  m_.updates = registry.counter("nxd_pressure_updates_total",
-                                "Pressure-signal input samples");
-  m_.level = registry.gauge("nxd_pressure_level",
-                            "Current degradation level (0=normal..3=critical)");
-  m_.wal_lag = registry.gauge("nxd_pressure_wal_lag_batches",
-                              "Last sampled WAL group-commit lag (batches)");
-  m_.checkpoint_debt =
-      registry.gauge("nxd_pressure_checkpoint_debt",
-                     "Last sampled checkpoint debt (batches + chain length)");
-}
-
 void PressureSignal::bind_metrics(MetricsRegistry& registry) {
-  const PressureStats carried = stats();
-  acquire_metrics(registry);
-  m_.raised.inc(carried.raised);
-  m_.lowered.inc(carried.lowered);
-  m_.updates.inc(carried.updates);
-  m_.level.set(level_index());
-  m_.wal_lag.set(static_cast<std::int64_t>(inputs_.wal_lag_batches));
-  m_.checkpoint_debt.set(static_cast<std::int64_t>(inputs_.checkpoint_debt));
-  own_registry_.reset();
+  counters_.bind(registry);
+  level_gauge_ = registry.gauge(
+      "nxd_pressure_level", "Current degradation level (0=normal..3=critical)");
+  wal_lag_gauge_ = registry.gauge("nxd_pressure_wal_lag_batches",
+                                  "Last sampled WAL group-commit lag (batches)");
+  checkpoint_debt_gauge_ = registry.gauge(
+      "nxd_pressure_checkpoint_debt",
+      "Last sampled checkpoint debt (batches + chain length)");
+  level_gauge_.set(level_index());
+  wal_lag_gauge_.set(static_cast<std::int64_t>(inputs_.wal_lag_batches));
+  checkpoint_debt_gauge_.set(
+      static_cast<std::int64_t>(inputs_.checkpoint_debt));
 }
 
 int PressureSignal::raise_target(const PressureInputs& in) const noexcept {
@@ -77,27 +58,30 @@ int PressureSignal::release_floor(const PressureInputs& in) const noexcept {
 PressureLevel PressureSignal::update(const PressureInputs& inputs,
                                      util::SimTime) {
   inputs_ = inputs;
-  m_.updates.inc();
-  m_.wal_lag.set(static_cast<std::int64_t>(inputs.wal_lag_batches));
-  m_.checkpoint_debt.set(static_cast<std::int64_t>(inputs.checkpoint_debt));
+  counters_.inc<&PressureStats::updates>();
+  wal_lag_gauge_.set(static_cast<std::int64_t>(inputs.wal_lag_batches));
+  checkpoint_debt_gauge_.set(
+      static_cast<std::int64_t>(inputs.checkpoint_debt));
 
   const int current = level_.load(std::memory_order_relaxed);
   const int target = raise_target(inputs);
   int next = current;
   if (target > current) {
     next = target;
-    m_.raised.inc(static_cast<std::uint64_t>(target - current));
+    counters_.inc<&PressureStats::raised>(
+        static_cast<std::uint64_t>(target - current));
   } else {
     const int floor = release_floor(inputs);
     if (floor < current) {
       next = floor;
-      m_.lowered.inc(static_cast<std::uint64_t>(current - floor));
+      counters_.inc<&PressureStats::lowered>(
+          static_cast<std::uint64_t>(current - floor));
     }
   }
   if (next != current) level_.store(next, std::memory_order_relaxed);
   const int floor = external_floor_.load(std::memory_order_relaxed);
   const int effective = next >= floor ? next : floor;
-  m_.level.set(effective);
+  level_gauge_.set(effective);
   return static_cast<PressureLevel>(effective);
 }
 
@@ -105,15 +89,7 @@ void PressureSignal::set_external_floor(int level) noexcept {
   if (level < 0) level = 0;
   if (level > 3) level = 3;
   external_floor_.store(level, std::memory_order_relaxed);
-  m_.level.set(level_index());
-}
-
-PressureStats PressureSignal::stats() const noexcept {
-  PressureStats s;
-  s.raised = m_.raised.value();
-  s.lowered = m_.lowered.value();
-  s.updates = m_.updates.value();
-  return s;
+  level_gauge_.set(level_index());
 }
 
 }  // namespace nxd::obs

@@ -20,7 +20,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "obs/metrics.hpp"
 #include "util/civil_time.hpp"
@@ -57,9 +56,20 @@ struct PressureStats {
   friend bool operator==(const PressureStats&, const PressureStats&) = default;
 };
 
+/// Every PressureStats counter and the registry series mirroring it.
+inline constexpr CounterSpec<PressureStats> kPressureCounters[] = {
+    {&PressureStats::raised, "nxd_pressure_raised_total",
+     "Degradation-ladder level steps climbed"},
+    {&PressureStats::lowered, "nxd_pressure_lowered_total",
+     "Degradation-ladder level steps released"},
+    {&PressureStats::updates, "nxd_pressure_updates_total",
+     "Pressure-signal input samples"},
+};
+
 class PressureSignal {
  public:
-  explicit PressureSignal(PressureThresholds thresholds = {});
+  explicit PressureSignal(PressureThresholds thresholds = {})
+      : thresholds_(thresholds) {}
 
   /// Feed fresh inputs; returns the (possibly changed) level.  Single
   /// producer: call from one thread (the ingest/metrics pump).
@@ -111,32 +121,26 @@ class PressureSignal {
   }
 
   const PressureInputs& inputs() const noexcept { return inputs_; }
-  PressureStats stats() const noexcept;
+  PressureStats stats() const noexcept { return counters_.stats(); }
   const PressureThresholds& thresholds() const noexcept { return thresholds_; }
 
-  /// Re-home counters/gauges in a shared registry (values carry over).
+  /// Mirror counters/gauges into a shared registry (values carry over).
   void bind_metrics(MetricsRegistry& registry);
 
  private:
   int raise_target(const PressureInputs& inputs) const noexcept;
   int release_floor(const PressureInputs& inputs) const noexcept;
-  void acquire_metrics(MetricsRegistry& registry);
 
   PressureThresholds thresholds_;
   std::atomic<int> level_{0};
   std::atomic<int> external_floor_{0};
   PressureInputs inputs_;
 
-  struct Metrics {
-    Counter raised;
-    Counter lowered;
-    Counter updates;
-    Gauge level;
-    Gauge wal_lag;
-    Gauge checkpoint_debt;
-  };
-  std::unique_ptr<MetricsRegistry> own_registry_;
-  Metrics m_;
+  StatsCounters<PressureStats, kPressureCounters> counters_;
+  // Null until bind_metrics().
+  Gauge level_gauge_;
+  Gauge wal_lag_gauge_;
+  Gauge checkpoint_debt_gauge_;
 };
 
 }  // namespace nxd::obs

@@ -361,6 +361,15 @@ void SpanTracer::bind_metrics(MetricsRegistry& registry) {
   }
 }
 
+std::uint64_t SpanTracer::attach(std::string_view component) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [name, count] : instances_) {
+    if (name == component) return count++;
+  }
+  instances_.emplace_back(component, 1);
+  return 0;
+}
+
 void SpanTracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   open_.clear();

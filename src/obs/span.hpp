@@ -13,7 +13,11 @@
 // the unit of work (resolver query seq, connection id, commit-group seq).
 // The trace id additionally mixes in the root span's name, because every
 // component numbers its own work from 1 — without the name, query 5 and
-// commit group 5 would share one trace tree.  The same seed therefore
+// commit group 5 would share one trace tree.  Two instances of one
+// component on one tracer (two resolvers, two networks) number their work
+// alike under the same names, so each attaches itself and later instances
+// mix their ordinal into the id too; the first keeps its plain ids.  The
+// same seed therefore
 // samples the same traces on every run, which keeps the exported JSONL
 // byte-stable under sim time.
 //
@@ -92,24 +96,33 @@ class SpanTracer {
            sample_hash(key) < threshold_;
   }
 
+  /// Register one more instance of `component` on this tracer and return
+  /// its ordinal: 0 for the first, then 1, 2, ...  The component passes it
+  /// to trace_root.
+  std::uint64_t attach(std::string_view component);
+
   /// Trace id of the root `name` for a sampled key (nonzero, deterministic);
   /// 0 if the key is not sampled.  The name is hashed in, so components
-  /// whose keys overlap still get separate trace trees.
-  std::uint64_t trace_id_for(std::uint64_t key,
-                             std::string_view name) const noexcept {
+  /// whose keys overlap still get separate trace trees; a nonzero
+  /// `instance` ordinal is hashed in as well.  Sampling sees only the key.
+  std::uint64_t trace_id_for(std::uint64_t key, std::string_view name,
+                             std::uint64_t instance = 0) const noexcept {
     const std::uint64_t h = sample_hash(key);
     if (threshold_ != ~std::uint64_t{0} && h >= threshold_) return 0;
     util::SplitMix64 sm{h ^ util::fnv1a(name)};
-    const std::uint64_t id = sm.next();
+    std::uint64_t id = sm.next();
+    if (instance != 0) id = util::SplitMix64{id ^ instance}.next();
     return id == 0 ? 1 : id;  // trace id 0 is reserved for "unsampled"
   }
 
-  /// Start a root span for the unit of work identified by `key`.  Returns a
-  /// null id when the key is not sampled — that rejection stays inline and
-  /// never takes the lock.
+  /// Start a root span for the unit of work identified by `key` (on the
+  /// component instance `instance`, see attach()).  Returns a null id when
+  /// the key is not sampled — that rejection stays inline and never takes
+  /// the lock.
   SpanId trace_root(std::uint64_t key, std::string_view name,
-                    std::int64_t start, std::string_view detail = {}) {
-    const std::uint64_t trace_id = trace_id_for(key, name);
+                    std::int64_t start, std::string_view detail = {},
+                    std::uint64_t instance = 0) {
+    const std::uint64_t trace_id = trace_id_for(key, name, instance);
     if (trace_id == 0) return {};
     return root_sampled(trace_id, name, start, detail);
   }
@@ -203,6 +216,8 @@ class SpanTracer {
   // handful of distinct names, so a linear scan beats hashing, and a name
   // allocates once on first sight, never per span.
   std::vector<std::pair<std::string, std::uint64_t>> per_name_;
+  // attach() counts per component; kept across clear().
+  std::vector<std::pair<std::string, std::uint64_t>> instances_;
 
   Counter m_traces_started_;
   Counter m_spans_recorded_;

@@ -5,45 +5,9 @@
 
 namespace nxd::resolver {
 
-HealthModel::HealthModel(HealthConfig config)
-    : config_(config), own_registry_(std::make_unique<obs::MetricsRegistry>()) {
-  acquire_metrics(*own_registry_);
-}
-
-void HealthModel::acquire_metrics(obs::MetricsRegistry& registry) {
-  registry_ = &registry;
-  m_.successes = registry.counter("nxd_resolver_health_successes_total",
-                                  "Tries reported healthy to the model");
-  m_.failures = registry.counter("nxd_resolver_health_failures_total",
-                                 "Tries reported failed to the model");
-  const std::string transition_help =
-      "Circuit-breaker state transitions, by target state";
-  m_.breaker_opened = registry.counter("nxd_resolver_breaker_transitions_total",
-                                       transition_help, {{"to", "open"}});
-  m_.breaker_half_opened =
-      registry.counter("nxd_resolver_breaker_transitions_total",
-                       transition_help, {{"to", "half_open"}});
-  m_.breaker_reclosed =
-      registry.counter("nxd_resolver_breaker_transitions_total",
-                       transition_help, {{"to", "closed"}});
-  m_.breaker_rejections =
-      registry.counter("nxd_resolver_breaker_rejections_total",
-                       "Sends refused by an open breaker");
-  m_.breaker_probes = registry.counter(
-      "nxd_resolver_breaker_probes_total", "Half-open probe slots granted");
-}
-
 void HealthModel::bind_metrics(obs::MetricsRegistry& registry) {
-  const HealthStats carried = stats();
-  acquire_metrics(registry);
-  m_.successes.inc(carried.successes);
-  m_.failures.inc(carried.failures);
-  m_.breaker_opened.inc(carried.breaker_opened);
-  m_.breaker_half_opened.inc(carried.breaker_half_opened);
-  m_.breaker_reclosed.inc(carried.breaker_reclosed);
-  m_.breaker_rejections.inc(carried.breaker_rejections);
-  m_.breaker_probes.inc(carried.breaker_probes);
-  own_registry_.reset();
+  counters_.bind(registry);
+  registry_ = &registry;
   // Re-home every per-server gauge and republish the current estimate.
   for (auto& [server, s] : servers_) publish(server, s);
 }
@@ -94,8 +58,9 @@ void HealthModel::on_success(const net::Endpoint& server, util::SimTime rtt,
   const util::CircuitBreakerStats before = s.breaker.stats();
   s.breaker.on_success(now);
   const util::CircuitBreakerStats after = s.breaker.stats();
-  m_.successes.inc();
-  m_.breaker_reclosed.inc(after.reclosed - before.reclosed);
+  counters_.inc<&HealthStats::successes>();
+  counters_.inc<&HealthStats::breaker_reclosed>(after.reclosed -
+                                                before.reclosed);
   publish(server, s);
 }
 
@@ -106,8 +71,8 @@ void HealthModel::on_failure(const net::Endpoint& server, util::SimTime now) {
   const util::CircuitBreakerStats before = s.breaker.stats();
   s.breaker.on_failure(now);
   const util::CircuitBreakerStats after = s.breaker.stats();
-  m_.failures.inc();
-  m_.breaker_opened.inc(after.opened - before.opened);
+  counters_.inc<&HealthStats::failures>();
+  counters_.inc<&HealthStats::breaker_opened>(after.opened - before.opened);
   publish(server, s);
 }
 
@@ -116,9 +81,11 @@ bool HealthModel::allow(const net::Endpoint& server, util::SimTime now) {
   const util::CircuitBreakerStats before = s.breaker.stats();
   const bool admitted = s.breaker.allow(now);
   const util::CircuitBreakerStats after = s.breaker.stats();
-  m_.breaker_half_opened.inc(after.half_opened - before.half_opened);
-  m_.breaker_rejections.inc(after.rejected - before.rejected);
-  m_.breaker_probes.inc(after.probes - before.probes);
+  counters_.inc<&HealthStats::breaker_half_opened>(after.half_opened -
+                                                   before.half_opened);
+  counters_.inc<&HealthStats::breaker_rejections>(after.rejected -
+                                                  before.rejected);
+  counters_.inc<&HealthStats::breaker_probes>(after.probes - before.probes);
   return admitted;
 }
 
@@ -246,18 +213,6 @@ std::vector<UpstreamHealth> HealthModel::snapshot() const {
               return a.server.to_string() < b.server.to_string();
             });
   return out;
-}
-
-HealthStats HealthModel::stats() const noexcept {
-  HealthStats s;
-  s.successes = m_.successes.value();
-  s.failures = m_.failures.value();
-  s.breaker_opened = m_.breaker_opened.value();
-  s.breaker_half_opened = m_.breaker_half_opened.value();
-  s.breaker_reclosed = m_.breaker_reclosed.value();
-  s.breaker_rejections = m_.breaker_rejections.value();
-  s.breaker_probes = m_.breaker_probes.value();
-  return s;
 }
 
 }  // namespace nxd::resolver

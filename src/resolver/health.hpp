@@ -97,9 +97,28 @@ struct HealthStats {
   friend bool operator==(const HealthStats&, const HealthStats&) = default;
 };
 
+/// Every HealthStats counter and the registry series mirroring it.
+inline constexpr obs::CounterSpec<HealthStats> kHealthCounters[] = {
+    {&HealthStats::successes, "nxd_resolver_health_successes_total",
+     "Tries reported healthy to the model"},
+    {&HealthStats::failures, "nxd_resolver_health_failures_total",
+     "Tries reported failed to the model"},
+    {&HealthStats::breaker_opened, "nxd_resolver_breaker_transitions_total",
+     "Circuit-breaker state transitions, by target state", "to", "open"},
+    {&HealthStats::breaker_half_opened,
+     "nxd_resolver_breaker_transitions_total",
+     "Circuit-breaker state transitions, by target state", "to", "half_open"},
+    {&HealthStats::breaker_reclosed, "nxd_resolver_breaker_transitions_total",
+     "Circuit-breaker state transitions, by target state", "to", "closed"},
+    {&HealthStats::breaker_rejections, "nxd_resolver_breaker_rejections_total",
+     "Sends refused by an open breaker"},
+    {&HealthStats::breaker_probes, "nxd_resolver_breaker_probes_total",
+     "Half-open probe slots granted"},
+};
+
 class HealthModel {
  public:
-  explicit HealthModel(HealthConfig config = {});
+  explicit HealthModel(HealthConfig config = {}) : config_(config) {}
 
   /// Report one completed try: `rtt` in simulated seconds.
   void on_success(const net::Endpoint& server, util::SimTime rtt,
@@ -137,9 +156,9 @@ class HealthModel {
   /// Per-server views sorted by endpoint text — deterministic dump order.
   std::vector<UpstreamHealth> snapshot() const;
 
-  HealthStats stats() const noexcept;
+  HealthStats stats() const noexcept { return counters_.stats(); }
 
-  /// Re-home the model's counters and per-server SRTT gauges in a shared
+  /// Mirror the model's counters and per-server SRTT gauges into a shared
   /// registry; current values carry over.  Servers first seen later get
   /// their gauge on first contact.
   void bind_metrics(obs::MetricsRegistry& registry);
@@ -167,26 +186,14 @@ class HealthModel {
   Server& entry(const net::Endpoint& server);
   const Server* find(const net::Endpoint& server) const;
   double score_of(const Server& s) const;
-  void acquire_metrics(obs::MetricsRegistry& registry);
   void publish(const net::Endpoint& server, Server& s);
 
   HealthConfig config_;
   std::unordered_map<net::Endpoint, Server, net::EndpointHash> servers_;
 
-  /// Aggregate transition counters (sum over servers), registry-backed.
-  struct Metrics {
-    obs::Counter successes;
-    obs::Counter failures;
-    obs::Counter breaker_opened;
-    obs::Counter breaker_half_opened;
-    obs::Counter breaker_reclosed;
-    obs::Counter breaker_rejections;
-    obs::Counter breaker_probes;
-  };
-
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
-  obs::MetricsRegistry* registry_ = nullptr;
-  Metrics m_;
+  /// Aggregate transition counters (sum over servers).
+  obs::StatsCounters<HealthStats, kHealthCounters> counters_;
+  obs::MetricsRegistry* registry_ = nullptr;  // SRTT gauges land here
 };
 
 }  // namespace nxd::resolver

@@ -33,88 +33,15 @@ bool is_acceptable_reply(const dns::Message& query, const dns::Message& reply) {
 
 RecursiveResolver::RecursiveResolver(const DnsHierarchy& hierarchy,
                                      ResolverCache::Config cache_config)
-    : hierarchy_(hierarchy),
-      cache_(cache_config),
-      own_registry_(std::make_unique<obs::MetricsRegistry>()) {
-  acquire_metrics(*own_registry_);
-}
-
-void RecursiveResolver::acquire_metrics(obs::MetricsRegistry& registry) {
-  m_.client_queries = registry.counter("nxd_resolver_client_queries_total",
-                                       "Queries received from clients");
-  m_.cache_hits =
-      registry.counter("nxd_resolver_cache_hits_total",
-                       "Client queries answered from the resolver cache");
-  m_.upstream_resolutions =
-      registry.counter("nxd_resolver_upstream_resolutions_total",
-                       "Queries that walked the hierarchy");
-  m_.nxdomain_responses = registry.counter(
-      "nxd_resolver_nxdomain_responses_total", "NXDomain answers returned");
-  m_.retries = registry.counter("nxd_resolver_retries_total",
-                                "Upstream attempts after the first");
-  m_.timeouts = registry.counter("nxd_resolver_timeouts_total",
-                                 "Upstream attempts that timed out");
-  m_.servfail_responses = registry.counter(
-      "nxd_resolver_servfail_responses_total", "SERVFAIL answers returned");
-  m_.upstream_sends = registry.counter(
-      "nxd_resolver_upstream_sends_total",
-      "Packets sent upstream (network path), including retries");
-  m_.delegation_fetches = registry.counter(
-      "nxd_resolver_delegation_fetches_total",
-      "Glueless NS target fetches triggered by referrals");
-  m_.delegation_capped = registry.counter(
-      "nxd_resolver_delegation_capped_total",
-      "NS target fetches suppressed by the per-referral cap or zone budget");
-  m_.cname_chases = registry.counter(
-      "nxd_resolver_cname_chases_total",
-      "Alias-chain hops chased by the resolver");
-  m_.cname_capped = registry.counter(
-      "nxd_resolver_cname_capped_total",
-      "Alias chains cut off at the chase ceiling");
-  m_.minimized_queries = registry.counter(
-      "nxd_resolver_minimized_queries_total",
-      "Minimized (RFC 7816-style) sub-queries sent to root/TLD tiers");
-  m_.hedged_queries = registry.counter(
-      "nxd_resolver_hedged_queries_total",
-      "Speculative duplicate sends raced against a slow primary try");
-  m_.hedge_wins = registry.counter(
-      "nxd_resolver_hedge_wins_total",
-      "Hedged sends whose reply served the client");
-  m_.hedge_losses = registry.counter(
-      "nxd_resolver_hedge_losses_total",
-      "Hedged sends wasted: the primary answered first");
-  m_.breaker_skips = registry.counter(
-      "nxd_resolver_breaker_skips_total",
-      "Candidate servers bypassed because their breaker refused the send");
-  m_.upstream_seconds = registry.histogram(
-      "nxd_resolver_upstream_latency_seconds",
-      "Simulated seconds spent per upstream resolution (network path)");
-}
+    : hierarchy_(hierarchy), cache_(cache_config) {}
 
 void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry) {
-  // Carry current counts into the shared registry so a late bind never
-  // loses events.  (Histogram samples are not replayed; bind before traffic
-  // when the latency distribution matters.)
-  const RecursiveStats carried = stats();
-  acquire_metrics(registry);
-  m_.client_queries.inc(carried.client_queries);
-  m_.cache_hits.inc(carried.cache_hits);
-  m_.upstream_resolutions.inc(carried.upstream_resolutions);
-  m_.nxdomain_responses.inc(carried.nxdomain_responses);
-  m_.retries.inc(carried.retries);
-  m_.timeouts.inc(carried.timeouts);
-  m_.servfail_responses.inc(carried.servfail_responses);
-  m_.upstream_sends.inc(carried.upstream_sends);
-  m_.delegation_fetches.inc(carried.delegation_fetches);
-  m_.delegation_capped.inc(carried.delegation_capped);
-  m_.cname_chases.inc(carried.cname_chases);
-  m_.cname_capped.inc(carried.cname_capped);
-  m_.minimized_queries.inc(carried.minimized_queries);
-  m_.hedged_queries.inc(carried.hedged_queries);
-  m_.hedge_wins.inc(carried.hedge_wins);
-  m_.hedge_losses.inc(carried.hedge_losses);
-  m_.breaker_skips.inc(carried.breaker_skips);
-  own_registry_.reset();
+  // Histogram samples are not replayed; bind before traffic when the
+  // latency distribution matters.
+  counters_.bind(registry);
+  upstream_seconds_ = registry.histogram(
+      "nxd_resolver_upstream_latency_seconds",
+      "Simulated seconds spent per upstream resolution (network path)");
   bound_registry_ = &registry;
   if (health_ != nullptr) health_->bind_metrics(registry);
 }
@@ -122,27 +49,6 @@ void RecursiveResolver::bind_metrics(obs::MetricsRegistry& registry) {
 void RecursiveResolver::enable_health(HealthConfig config) {
   health_ = std::make_unique<HealthModel>(config);
   if (bound_registry_ != nullptr) health_->bind_metrics(*bound_registry_);
-}
-
-const RecursiveStats& RecursiveResolver::stats() const noexcept {
-  stats_.client_queries = m_.client_queries.value();
-  stats_.cache_hits = m_.cache_hits.value();
-  stats_.upstream_resolutions = m_.upstream_resolutions.value();
-  stats_.nxdomain_responses = m_.nxdomain_responses.value();
-  stats_.retries = m_.retries.value();
-  stats_.timeouts = m_.timeouts.value();
-  stats_.servfail_responses = m_.servfail_responses.value();
-  stats_.upstream_sends = m_.upstream_sends.value();
-  stats_.delegation_fetches = m_.delegation_fetches.value();
-  stats_.delegation_capped = m_.delegation_capped.value();
-  stats_.cname_chases = m_.cname_chases.value();
-  stats_.cname_capped = m_.cname_capped.value();
-  stats_.minimized_queries = m_.minimized_queries.value();
-  stats_.hedged_queries = m_.hedged_queries.value();
-  stats_.hedge_wins = m_.hedge_wins.value();
-  stats_.hedge_losses = m_.hedge_losses.value();
-  stats_.breaker_skips = m_.breaker_skips.value();
-  return stats_;
 }
 
 void RecursiveResolver::use_network(net::SimNetwork& network,
@@ -159,7 +65,7 @@ obs::SpanId RecursiveResolver::begin_try(const net::Endpoint& server,
                                          int attempt, util::SimTime& now) {
   if (attempt > 0) {
     now += net_.policy.backoff_before(attempt, net_.rng);
-    m_.retries.inc();
+    counters_.inc<&RecursiveStats::retries>();
   }
   if (!tier_span_.sampled()) return {};
   const obs::SpanId try_span = spans_->begin(
@@ -170,7 +76,7 @@ obs::SpanId RecursiveResolver::begin_try(const net::Endpoint& server,
 
 void RecursiveResolver::note_timeout(obs::SpanId parent, util::SimTime at,
                                      int attempt) {
-  m_.timeouts.inc();
+  counters_.inc<&RecursiveStats::timeouts>();
   if (parent.sampled()) spans_->event(parent, "timeout", at, attempt + 1);
 }
 
@@ -185,7 +91,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint(
     packet.src = kResolverSource;
     packet.dst = server;
     packet.payload = wire;
-    m_.upstream_sends.inc();
+    counters_.inc<&RecursiveStats::upstream_sends>();
     const auto raw = net_.network->send(packet);
     now += net_.network->last_injected_delay();
     if (raw) {
@@ -220,7 +126,7 @@ std::optional<dns::Message> RecursiveResolver::query_tier(
     if (!health_->allow(server, now)) {
       // Breaker open: skipping is the whole point — the server costs
       // nothing until its cooldown grants a probe.
-      m_.breaker_skips.inc();
+      counters_.inc<&RecursiveStats::breaker_skips>();
       if (tier_span_.sampled()) {
         spans_->event(tier_span_, "breaker_skip", now, 0, server.to_string());
       }
@@ -249,7 +155,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
     packet.src = kResolverSource;
     packet.dst = server;
     packet.payload = wire;
-    m_.upstream_sends.inc();
+    counters_.inc<&RecursiveStats::upstream_sends>();
     const auto raw = net_.network->send(packet);
     const util::SimTime rtt = net_.network->last_injected_delay();
     std::optional<dns::Message> primary;
@@ -291,7 +197,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         spans_->end(try_span, now, -(attempt + 1), "timeout");
       }
     } else {
-      m_.hedged_queries.inc();
+      counters_.inc<&RecursiveStats::hedged_queries>();
       obs::SpanId hedge_span{};
       if (try_span.sampled()) {
         hedge_span = spans_->begin(try_span, "hedge", now + hedge_after,
@@ -299,7 +205,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
       }
       net::SimPacket dup = packet;
       dup.dst = *hedge_server;
-      m_.upstream_sends.inc();
+      counters_.inc<&RecursiveStats::upstream_sends>();
       const auto raw2 = net_.network->send(dup);
       const util::SimTime rtt2 = net_.network->last_injected_delay();
       std::optional<dns::Message> hedged;
@@ -331,7 +237,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
         // The hedge served the client.  A primary reply still in flight
         // lands later and feeds its estimate; a dead primary is charged its
         // timeout.
-        m_.hedge_wins.inc();
+        counters_.inc<&RecursiveStats::hedge_wins>();
         if (primary) {
           health_->on_success(server, rtt, now + primary_done);
         } else {
@@ -346,7 +252,7 @@ std::optional<dns::Message> RecursiveResolver::query_endpoint_adaptive(
       }
       if (primary) {
         // Primary answered first — the hedge was wasted bandwidth.
-        if (hedged) m_.hedge_losses.inc();
+        if (hedged) counters_.inc<&RecursiveStats::hedge_losses>();
         health_->on_success(server, rtt, now + primary_done);
         now += primary_done;
         if (spans_ != nullptr) spans_->end(try_span, now, attempt + 1);
@@ -388,7 +294,7 @@ dns::Message RecursiveResolver::resolve_via_network(const dns::Message& query,
     }
     const bool minimized =
         !(sent.questions.front() == query.questions.front());
-    if (minimized) m_.minimized_queries.inc();
+    if (minimized) counters_.inc<&RecursiveStats::minimized_queries>();
     static constexpr const char* kTierNames[] = {"tier_root", "tier_tld",
                                                  "tier_auth"};
     if (spans_ != nullptr) {
@@ -497,7 +403,7 @@ dns::Message RecursiveResolver::handle_referral(const dns::Message& query,
     const auto& target = std::get<dns::NsData>(rr.rdata).ns;
     if (defenses_.max_fetch_per_delegation > 0 &&
         fetched_here >= defenses_.max_fetch_per_delegation) {
-      m_.delegation_capped.inc();
+      counters_.inc<&RecursiveStats::delegation_capped>();
       continue;
     }
     if (defenses_.zone_fetch_budget > 0) {
@@ -507,7 +413,7 @@ dns::Message RecursiveResolver::handle_referral(const dns::Message& query,
         budget.spent = 0;
       }
       if (budget.spent >= defenses_.zone_fetch_budget) {
-        m_.delegation_capped.inc();
+        counters_.inc<&RecursiveStats::delegation_capped>();
         continue;
       }
       ++budget.spent;
@@ -515,7 +421,7 @@ dns::Message RecursiveResolver::handle_referral(const dns::Message& query,
     // Cache dedupe: a target already known (either way) costs nothing.
     if (cache_.get(target, dns::RRType::A, now)) continue;
     ++fetched_here;
-    m_.delegation_fetches.inc();
+    counters_.inc<&RecursiveStats::delegation_fetches>();
     const auto fetch_query = dns::make_query(next_id_++, target, dns::RRType::A);
     obs::SpanId fetch_span{};
     const obs::SpanId saved_cursor = span_cursor_;
@@ -552,12 +458,12 @@ void RecursiveResolver::chase_cname_tail(const dns::Message& query,
          !response.answers.empty() &&
          response.answers.back().type() == dns::RRType::CNAME) {
     if (chased >= std::max(1, defenses_.max_cname_chase)) {
-      m_.cname_capped.inc();
+      counters_.inc<&RecursiveStats::cname_capped>();
       response = dns::make_response(query, dns::RCode::ServFail);
       return;
     }
     ++chased;
-    m_.cname_chases.inc();
+    counters_.inc<&RecursiveStats::cname_chases>();
     const auto target =
         std::get<dns::CnameData>(response.answers.back().rdata).target;
     obs::SpanId hop_span{};
@@ -590,13 +496,14 @@ void RecursiveResolver::chase_cname_tail(const dns::Message& query,
 
 ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
                                           util::SimTime now) {
-  m_.client_queries.inc();
+  counters_.inc<&RecursiveStats::client_queries>();
   ++query_seq_;
   const std::string qname_str = query.questions.empty()
                                     ? std::string()
                                     : query.questions.front().name.to_string();
   root_span_ = spans_ != nullptr
-                   ? spans_->trace_root(query_seq_, "resolve", now, qname_str)
+                   ? spans_->trace_root(query_seq_, "resolve", now, qname_str,
+                                        span_instance_)
                    : obs::SpanId{};
   if (query.questions.empty()) {
     ResolveOutcome out{dns::make_response(query, dns::RCode::FormErr)};
@@ -616,7 +523,7 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
   dns::Message response;
 
   if (auto hit = cache_.get(q.name, q.qtype, now)) {
-    m_.cache_hits.inc();
+    counters_.inc<&RecursiveStats::cache_hits>();
     from_cache = true;
     if (hit->negative) {
       negative_hit = true;
@@ -630,7 +537,7 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
                     now);
     }
   } else {
-    m_.upstream_resolutions.inc();
+    counters_.inc<&RecursiveStats::upstream_resolutions>();
     obs::SpanId up{};
     if (spans_ != nullptr) up = spans_->begin(root_span_, "upstream", now);
     span_cursor_ = up.sampled() ? up : root_span_;
@@ -649,7 +556,7 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
   if (!negative_hit) chase_cname_tail(query, response, done);
 
   if (response.header.rcode == dns::RCode::NXDomain) {
-    m_.nxdomain_responses.inc();
+    counters_.inc<&RecursiveStats::nxdomain_responses>();
     // RFC 2308: negative-cache from the SOA proof.  Only for an upstream
     // answer about the query name itself — when a *chased* chain ended in
     // NXDomain the qname exists (as an alias) and must not be negative
@@ -663,7 +570,7 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
   } else if (response.header.rcode == dns::RCode::ServFail) {
     // Failure is transient: never cached, so the next client query retries
     // upstream instead of pinning the outage.
-    m_.servfail_responses.inc();
+    counters_.inc<&RecursiveStats::servfail_responses>();
   }
 
   if (observer_) observer_(query, response, from_cache, now);
@@ -675,10 +582,10 @@ ResolveOutcome RecursiveResolver::resolve(const dns::Message& query,
     // A sampled trace tags the latency histogram with an exemplar so the
     // rendered exposition links the p99 bucket to an inspectable trace id.
     if (root_span_.sampled()) {
-      m_.upstream_seconds.observe_exemplar(
+      upstream_seconds_.observe_exemplar(
           static_cast<std::uint64_t>(out.elapsed), root_span_.trace);
     } else {
-      m_.upstream_seconds.observe(static_cast<std::uint64_t>(out.elapsed));
+      upstream_seconds_.observe(static_cast<std::uint64_t>(out.elapsed));
     }
   }
   if (spans_ != nullptr) {

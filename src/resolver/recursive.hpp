@@ -92,26 +92,7 @@ struct RecursiveStats {
   /// Exact fold for per-worker resolver fleets: every field is a plain sum,
   /// so stats from N resolvers combine to what one resolver serving the
   /// union stream would have counted.
-  RecursiveStats& operator+=(const RecursiveStats& other) noexcept {
-    client_queries += other.client_queries;
-    cache_hits += other.cache_hits;
-    upstream_resolutions += other.upstream_resolutions;
-    nxdomain_responses += other.nxdomain_responses;
-    retries += other.retries;
-    timeouts += other.timeouts;
-    servfail_responses += other.servfail_responses;
-    upstream_sends += other.upstream_sends;
-    delegation_fetches += other.delegation_fetches;
-    delegation_capped += other.delegation_capped;
-    cname_chases += other.cname_chases;
-    cname_capped += other.cname_capped;
-    minimized_queries += other.minimized_queries;
-    hedged_queries += other.hedged_queries;
-    hedge_wins += other.hedge_wins;
-    hedge_losses += other.hedge_losses;
-    breaker_skips += other.breaker_skips;
-    return *this;
-  }
+  RecursiveStats& operator+=(const RecursiveStats& other) noexcept;
 
   friend RecursiveStats operator+(RecursiveStats a,
                                   const RecursiveStats& b) noexcept {
@@ -121,6 +102,52 @@ struct RecursiveStats {
 
   friend bool operator==(const RecursiveStats&, const RecursiveStats&) = default;
 };
+
+/// Every RecursiveStats counter and the registry series mirroring it.
+inline constexpr obs::CounterSpec<RecursiveStats> kRecursiveCounters[] = {
+    {&RecursiveStats::client_queries, "nxd_resolver_client_queries_total",
+     "Queries received from clients"},
+    {&RecursiveStats::cache_hits, "nxd_resolver_cache_hits_total",
+     "Client queries answered from the resolver cache"},
+    {&RecursiveStats::upstream_resolutions,
+     "nxd_resolver_upstream_resolutions_total",
+     "Queries that walked the hierarchy"},
+    {&RecursiveStats::nxdomain_responses,
+     "nxd_resolver_nxdomain_responses_total", "NXDomain answers returned"},
+    {&RecursiveStats::retries, "nxd_resolver_retries_total",
+     "Upstream attempts after the first"},
+    {&RecursiveStats::timeouts, "nxd_resolver_timeouts_total",
+     "Upstream attempts that timed out"},
+    {&RecursiveStats::servfail_responses,
+     "nxd_resolver_servfail_responses_total", "SERVFAIL answers returned"},
+    {&RecursiveStats::upstream_sends, "nxd_resolver_upstream_sends_total",
+     "Packets sent upstream (network path), including retries"},
+    {&RecursiveStats::delegation_fetches,
+     "nxd_resolver_delegation_fetches_total",
+     "Glueless NS target fetches triggered by referrals"},
+    {&RecursiveStats::delegation_capped, "nxd_resolver_delegation_capped_total",
+     "NS target fetches suppressed by the per-referral cap or zone budget"},
+    {&RecursiveStats::cname_chases, "nxd_resolver_cname_chases_total",
+     "Alias-chain hops chased by the resolver"},
+    {&RecursiveStats::cname_capped, "nxd_resolver_cname_capped_total",
+     "Alias chains cut off at the chase ceiling"},
+    {&RecursiveStats::minimized_queries, "nxd_resolver_minimized_queries_total",
+     "Minimized (RFC 7816-style) sub-queries sent to root/TLD tiers"},
+    {&RecursiveStats::hedged_queries, "nxd_resolver_hedged_queries_total",
+     "Speculative duplicate sends raced against a slow primary try"},
+    {&RecursiveStats::hedge_wins, "nxd_resolver_hedge_wins_total",
+     "Hedged sends whose reply served the client"},
+    {&RecursiveStats::hedge_losses, "nxd_resolver_hedge_losses_total",
+     "Hedged sends wasted: the primary answered first"},
+    {&RecursiveStats::breaker_skips, "nxd_resolver_breaker_skips_total",
+     "Candidate servers bypassed because their breaker refused the send"},
+};
+
+inline RecursiveStats& RecursiveStats::operator+=(
+    const RecursiveStats& other) noexcept {
+  for (const auto& c : kRecursiveCounters) this->*c.field += other.*c.field;
+  return *this;
+}
 
 class RecursiveResolver {
  public:
@@ -167,9 +194,8 @@ class RecursiveResolver {
   /// Convenience: resolve (name, A) and report only the rcode.
   dns::RCode resolve_rcode(const dns::DomainName& name, util::SimTime now);
 
-  /// Re-home the resolver's counters in a shared registry (current values
-  /// carry over).  The public stats() struct keeps working either way — its
-  /// fields are views over the registry handles.
+  /// Mirror the resolver's counters into a shared registry (current values
+  /// carry over).  stats() stays this resolver's own count either way.
   void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Start emitting causal spans: one sampled trace per client query (keyed
@@ -179,11 +205,17 @@ class RecursiveResolver {
   /// Every retry and timeout the counters see is also a zero-duration
   /// "retry" / "timeout" child of its try (a hedge's timeout, of the hedge).
   /// Sampled traces also tag the upstream latency histogram with an
-  /// exemplar.  Pass nullptr to stop.
-  void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
+  /// exemplar.  A second resolver on the same tracer gets its own trace
+  /// ids.  Pass nullptr to stop.
+  void trace_spans(obs::SpanTracer* spans) {
+    if (spans != nullptr && spans != spans_) {
+      span_instance_ = spans->attach("resolver");
+    }
+    spans_ = spans;
+  }
   obs::SpanTracer* span_tracer() const noexcept { return spans_; }
 
-  const RecursiveStats& stats() const noexcept;
+  const RecursiveStats& stats() const noexcept { return counters_.stats(); }
   const ResolverCache& cache() const noexcept { return cache_; }
   void flush_cache() { cache_.clear(); }
 
@@ -261,35 +293,8 @@ class RecursiveResolver {
   void cache_nxdomain(const dns::DomainName& qname,
                       const dns::Message& response, util::SimTime now);
 
-  /// Registry handles behind the RecursiveStats fields, one per field.
-  struct Metrics {
-    obs::Counter client_queries;
-    obs::Counter cache_hits;
-    obs::Counter upstream_resolutions;
-    obs::Counter nxdomain_responses;
-    obs::Counter retries;
-    obs::Counter timeouts;
-    obs::Counter servfail_responses;
-    obs::Counter upstream_sends;
-    obs::Counter delegation_fetches;
-    obs::Counter delegation_capped;
-    obs::Counter cname_chases;
-    obs::Counter cname_capped;
-    obs::Counter minimized_queries;
-    obs::Counter hedged_queries;
-    obs::Counter hedge_wins;
-    obs::Counter hedge_losses;
-    obs::Counter breaker_skips;
-    obs::LatencyHistogram upstream_seconds;
-  };
-
-  /// (Re-)acquire every handle in `registry`.
-  void acquire_metrics(obs::MetricsRegistry& registry);
-
   const DnsHierarchy& hierarchy_;
   ResolverCache cache_;
-  /// Cached struct refreshed from the handles by stats().
-  mutable RecursiveStats stats_;
   ResponseObserver observer_;
   NetworkPath net_;
   ResolverDefenses defenses_;
@@ -306,10 +311,8 @@ class RecursiveResolver {
       zone_budgets_;
   std::uint16_t next_id_ = 1;
 
-  /// Private fallback registry used until bind_metrics() re-homes the
-  /// handles; keeps the un-instrumented construction path self-contained.
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
-  Metrics m_;
+  obs::StatsCounters<RecursiveStats, kRecursiveCounters> counters_;
+  obs::LatencyHistogram upstream_seconds_;  // null until bind_metrics()
   std::uint64_t query_seq_ = 0;  // span sampling key for the live query
 
   /// Span context for the live query.  The resolver is single-threaded per
@@ -318,6 +321,7 @@ class RecursiveResolver {
   /// next tier walk (upstream / referral fetch / CNAME hop), tier_span_ the
   /// parent for per-try spans inside the current tier.
   obs::SpanTracer* spans_ = nullptr;
+  std::uint64_t span_instance_ = 0;  // ordinal on spans_ (attach())
   obs::SpanId root_span_{};
   obs::SpanId span_cursor_{};
   obs::SpanId tier_span_{};

@@ -73,9 +73,27 @@ struct RrlStats {
   friend bool operator==(const RrlStats&, const RrlStats&) = default;
 };
 
+/// Every RrlStats counter and the registry series mirroring it.
+inline constexpr obs::CounterSpec<RrlStats> kRrlCounters[] = {
+    {&RrlStats::checked, "nxd_resolver_rrl_checked_total",
+     "Responses run through RRL"},
+    {&RrlStats::passed, "nxd_resolver_rrl_passed_total",
+     "RRL verdicts: answer normally"},
+    {&RrlStats::slipped, "nxd_resolver_rrl_slipped_total",
+     "RRL verdicts: answer truncated (TC=1)"},
+    {&RrlStats::dropped, "nxd_resolver_rrl_dropped_total",
+     "RRL verdicts: response discarded"},
+    {&RrlStats::sources_evicted, "nxd_resolver_rrl_sources_evicted_total",
+     "Idle source buckets swept"},
+    {&RrlStats::table_overflow, "nxd_resolver_rrl_table_overflow_total",
+     "Checks admitted unmetered because the source table was full"},
+    {&RrlStats::pressure_scaled, "nxd_resolver_rrl_pressure_scaled_total",
+     "Checks metered at an elevated cost by the degradation ladder"},
+};
+
 class ResponseRateLimiter {
  public:
-  explicit ResponseRateLimiter(RrlConfig config = {});
+  explicit ResponseRateLimiter(RrlConfig config = {}) : config_(config) {}
 
   /// Verdict for one about-to-be-sent response to `source` at simulated
   /// time `now`.
@@ -83,11 +101,13 @@ class ResponseRateLimiter {
 
   std::size_t tracked_sources() const noexcept { return sources_.size(); }
   const RrlConfig& config() const noexcept { return config_; }
-  const RrlStats& stats() const noexcept;
+  const RrlStats& stats() const noexcept { return counters_.stats(); }
 
-  /// Source the RrlStats fields from a shared registry (current values carry
-  /// over).
-  void bind_metrics(obs::MetricsRegistry& registry);
+  /// Mirror the RrlStats counters into a shared registry (current values
+  /// carry over).
+  void bind_metrics(obs::MetricsRegistry& registry) {
+    counters_.bind(registry);
+  }
 
   /// Subscribe to the system-wide degradation ladder: at pressure level L a
   /// response costs 1x/1.33x/2x/4x tokens, shrinking every source's
@@ -103,7 +123,12 @@ class ResponseRateLimiter {
   /// "overflow" on a pass admitted unmetered because the source table was
   /// full), keyed by the check sequence number, so a fixed tracer seed
   /// samples the same verdicts every run.  nullptr stops.
-  void trace_spans(obs::SpanTracer* spans) noexcept { spans_ = spans; }
+  void trace_spans(obs::SpanTracer* spans) {
+    if (spans != nullptr && spans != spans_) {
+      span_instance_ = spans->attach("rrl");
+    }
+    spans_ = spans;
+  }
 
  private:
   struct Source {
@@ -111,26 +136,14 @@ class ResponseRateLimiter {
     std::uint32_t limited_count = 0;  // drives the slip cadence
   };
 
-  struct Metrics {
-    obs::Counter checked;
-    obs::Counter passed;
-    obs::Counter slipped;
-    obs::Counter dropped;
-    obs::Counter sources_evicted;
-    obs::Counter table_overflow;
-    obs::Counter pressure_scaled;
-  };
-
-  void acquire_metrics(obs::MetricsRegistry& registry);
   void span_verdict(util::SimTime now, net::IPv4 source, const char* name,
                     std::string_view detail = {});
 
   RrlConfig config_;
-  mutable RrlStats stats_;  // cache refreshed from the handles by stats()
   std::unordered_map<net::IPv4, Source, dns::IPv4Hash> sources_;
-  std::unique_ptr<obs::MetricsRegistry> own_registry_;
-  Metrics m_;
+  obs::StatsCounters<RrlStats, kRrlCounters> counters_;
   obs::SpanTracer* spans_ = nullptr;
+  std::uint64_t span_instance_ = 0;  // ordinal on spans_ (attach())
   std::uint64_t span_seq_ = 0;  // sampling key for verdict spans
   const obs::PressureSignal* pressure_ = nullptr;
 };

@@ -27,21 +27,6 @@ void TcpDnsServer::attach(net::EventLoop& loop) {
   loop.add_readable(listener_.fd(), [this] { on_acceptable(); });
 }
 
-void TcpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
-  const obs::LabelSet proto{{"proto", "tcp"}};
-  m_.answered = registry.counter("nxd_dns_server_answered_total",
-                                 "DNS responses sent", proto);
-  m_.faulted = registry.counter("nxd_dns_server_faulted_total",
-                                "Inbound messages eaten by the fault stage",
-                                proto);
-  m_.rrl_dropped = registry.counter("nxd_dns_server_rrl_dropped_total",
-                                    "Connections closed unanswered by RRL",
-                                    proto);
-  m_.answered.inc(answered_);
-  m_.faulted.inc(faulted_);
-  m_.rrl_dropped.inc(rrl_dropped_);
-}
-
 void TcpDnsServer::on_acceptable() {
   while (auto stream = listener_.accept()) {
     // Read the 2-byte length prefix plus the message (bounded retry for
@@ -67,8 +52,7 @@ void TcpDnsServer::on_acceptable() {
     if (fault_plan_ != nullptr && !fault_plan_->empty()) {
       const auto verdict = fault_plan_->apply(listener_.local(), message, 0);
       if (verdict.drop) {
-        ++faulted_;
-        m_.faulted.inc();
+        counters_.inc<&Counts::faulted>();
         continue;
       }
       // A duplicate verdict is meaningless on a stream; ignore it.
@@ -83,8 +67,7 @@ void TcpDnsServer::on_acceptable() {
       // TCP already proved the return path, so a Slip verdict answers in
       // full; Drop closes without answering — backpressure on a source that
       // exhausted its UDP budget and moved to hammering TCP.
-      ++rrl_dropped_;
-      m_.rrl_dropped.inc();
+      counters_.inc<&Counts::rrl_dropped>();
       continue;
     }
 
@@ -96,8 +79,7 @@ void TcpDnsServer::on_acceptable() {
     framed.push_back(static_cast<std::uint8_t>(wire.size()));
     framed.insert(framed.end(), wire.begin(), wire.end());
     if (stream->write(framed) > 0) {
-      ++answered_;
-      m_.answered.inc();
+      counters_.inc<&Counts::answered>();
     }
   }
 }

@@ -42,14 +42,14 @@ class TcpDnsServer {
 
   void attach(net::EventLoop& loop);
   net::Endpoint local() const noexcept { return listener_.local(); }
-  std::uint64_t answered() const noexcept { return answered_; }
+  std::uint64_t answered() const noexcept { return counts().answered; }
 
   /// Run each received DNS message through the fault stage before parsing
   /// (drop → connection ignored, corrupt/truncate → mangled wire; the
   /// duplicate verdict is meaningless on a stream and ignored).  The plan
   /// must outlive the server; nullptr disables.
   void set_fault_plan(net::FaultPlan* plan) noexcept { fault_plan_ = plan; }
-  std::uint64_t faulted() const noexcept { return faulted_; }
+  std::uint64_t faulted() const noexcept { return counts().faulted; }
 
   /// Meter responses per source address (DNS RRL, resolver/rrl.hpp).  On
   /// TCP the return path is proven, so Slip answers in full and Drop closes
@@ -61,7 +61,7 @@ class TcpDnsServer {
     rrl_ = rrl;
     rrl_clock_ = clock;
   }
-  std::uint64_t rrl_dropped() const noexcept { return rrl_dropped_; }
+  std::uint64_t rrl_dropped() const noexcept { return counts().rrl_dropped; }
 
   /// Subscribe the server's RRL to the system-wide degradation ladder —
   /// see UdpDnsServer::set_pressure.  No-op until set_rrl() installed a
@@ -72,13 +72,23 @@ class TcpDnsServer {
 
   /// Mirror the server counters into a shared registry under
   /// nxd_dns_server_*_total{proto=tcp}; current values carry over.
-  void bind_metrics(obs::MetricsRegistry& registry);
+  void bind_metrics(obs::MetricsRegistry& registry) {
+    counters_.bind(registry);
+  }
 
  private:
-  struct Metrics {
-    obs::Counter answered;
-    obs::Counter faulted;
-    obs::Counter rrl_dropped;
+  struct Counts {
+    std::uint64_t answered = 0;
+    std::uint64_t faulted = 0;
+    std::uint64_t rrl_dropped = 0;
+  };
+  static constexpr obs::CounterSpec<Counts> kCounters[] = {
+      {&Counts::answered, "nxd_dns_server_answered_total",
+       "DNS responses sent", "proto", "tcp"},
+      {&Counts::faulted, "nxd_dns_server_faulted_total",
+       "Inbound messages eaten by the fault stage", "proto", "tcp"},
+      {&Counts::rrl_dropped, "nxd_dns_server_rrl_dropped_total",
+       "Connections closed unanswered by RRL", "proto", "tcp"},
   };
 
   TcpDnsServer(net::TcpListener listener, const AuthoritativeServer& auth)
@@ -91,10 +101,8 @@ class TcpDnsServer {
   net::FaultPlan* fault_plan_ = nullptr;
   ResponseRateLimiter* rrl_ = nullptr;
   const util::SimClock* rrl_clock_ = nullptr;
-  std::uint64_t answered_ = 0;
-  std::uint64_t faulted_ = 0;
-  std::uint64_t rrl_dropped_ = 0;
-  Metrics m_;
+  obs::StatsCounters<Counts, kCounters> counters_;
+  const Counts& counts() const noexcept { return counters_.stats(); }
 };
 
 /// Client helper: query over TCP with the length-prefix framing.

@@ -20,26 +20,6 @@ void UdpDnsServer::attach(net::EventLoop& loop) {
   loop.add_readable(socket_.fd(), [this] { pump(); });
 }
 
-void UdpDnsServer::bind_metrics(obs::MetricsRegistry& registry) {
-  const obs::LabelSet proto{{"proto", "udp"}};
-  m_.answered = registry.counter("nxd_dns_server_answered_total",
-                                 "DNS responses sent", proto);
-  m_.malformed = registry.counter("nxd_dns_server_malformed_total",
-                                  "Datagrams that failed to parse", proto);
-  m_.faulted = registry.counter("nxd_dns_server_faulted_total",
-                                "Inbound datagrams eaten by the fault stage",
-                                proto);
-  m_.rrl_dropped = registry.counter("nxd_dns_server_rrl_dropped_total",
-                                    "Responses discarded by RRL", proto);
-  m_.rrl_slipped = registry.counter("nxd_dns_server_rrl_slipped_total",
-                                    "Responses slipped (TC=1) by RRL", proto);
-  m_.answered.inc(answered_);
-  m_.malformed.inc(malformed_);
-  m_.faulted.inc(faulted_);
-  m_.rrl_dropped.inc(rrl_dropped_);
-  m_.rrl_slipped.inc(rrl_slipped_);
-}
-
 std::size_t UdpDnsServer::pump() {
   std::size_t handled = 0;
   while (auto datagram = socket_.recv()) {
@@ -55,16 +35,14 @@ void UdpDnsServer::handle_one(const net::Datagram& datagram) {
   if (fault_plan_ != nullptr && !fault_plan_->empty()) {
     const auto verdict = fault_plan_->apply(socket_.local(), payload, 0);
     if (verdict.drop) {
-      ++faulted_;
-      m_.faulted.inc();
+      counters_.inc<&Counts::faulted>();
       return;
     }
     duplicate = verdict.duplicate;
   }
   const auto query = dns::decode(payload);
   if (!query || query->header.qr) {
-    ++malformed_;
-    m_.malformed.inc();
+    counters_.inc<&Counts::malformed>();
     return;
   }
   dns::Message response = auth_.answer(*query);
@@ -73,12 +51,10 @@ void UdpDnsServer::handle_one(const net::Datagram& datagram) {
       case RrlVerdict::Pass:
         break;
       case RrlVerdict::Drop:
-        ++rrl_dropped_;
-        m_.rrl_dropped.inc();
+        counters_.inc<&Counts::rrl_dropped>();
         return;
       case RrlVerdict::Slip:
-        ++rrl_slipped_;
-        m_.rrl_slipped.inc();
+        counters_.inc<&Counts::rrl_slipped>();
         response = slip_truncate(response);
         break;
     }
@@ -100,12 +76,10 @@ void UdpDnsServer::handle_one(const net::Datagram& datagram) {
     wire = dns::encode(response);
   }
   if (socket_.send_to(datagram.from, wire)) {
-    ++answered_;
-    m_.answered.inc();
+    counters_.inc<&Counts::answered>();
   }
   if (duplicate && socket_.send_to(datagram.from, wire)) {
-    ++answered_;
-    m_.answered.inc();
+    counters_.inc<&Counts::answered>();
   }
 }
 

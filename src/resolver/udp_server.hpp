@@ -29,15 +29,15 @@ class UdpDnsServer {
   std::size_t pump();
 
   net::Endpoint local() const noexcept { return socket_.local(); }
-  std::uint64_t answered() const noexcept { return answered_; }
-  std::uint64_t malformed() const noexcept { return malformed_; }
+  std::uint64_t answered() const noexcept { return counts().answered; }
+  std::uint64_t malformed() const noexcept { return counts().malformed; }
 
   /// Run every inbound datagram through the same fault stage SimNetwork
   /// uses: drops are swallowed (counted in `faulted()`), corruption and
   /// truncation mangle the wire before parsing, duplicates are answered
   /// twice.  The plan must outlive the server; nullptr disables.
   void set_fault_plan(net::FaultPlan* plan) noexcept { fault_plan_ = plan; }
-  std::uint64_t faulted() const noexcept { return faulted_; }
+  std::uint64_t faulted() const noexcept { return counts().faulted; }
 
   /// Meter responses per source address (DNS RRL, resolver/rrl.hpp).  Drop
   /// verdicts swallow the response; Slip verdicts send the genuine answer
@@ -48,8 +48,8 @@ class UdpDnsServer {
     rrl_ = rrl;
     rrl_clock_ = clock;
   }
-  std::uint64_t rrl_dropped() const noexcept { return rrl_dropped_; }
-  std::uint64_t rrl_slipped() const noexcept { return rrl_slipped_; }
+  std::uint64_t rrl_dropped() const noexcept { return counts().rrl_dropped; }
+  std::uint64_t rrl_slipped() const noexcept { return counts().rrl_slipped; }
 
   /// Subscribe the server's RRL to the system-wide degradation ladder
   /// (obs::PressureSignal): ingest pressure raises the per-response token
@@ -62,15 +62,29 @@ class UdpDnsServer {
 
   /// Mirror the server counters into a shared registry under
   /// nxd_dns_server_*_total{proto=udp}; current values carry over.
-  void bind_metrics(obs::MetricsRegistry& registry);
+  void bind_metrics(obs::MetricsRegistry& registry) {
+    counters_.bind(registry);
+  }
 
  private:
-  struct Metrics {
-    obs::Counter answered;
-    obs::Counter malformed;
-    obs::Counter faulted;
-    obs::Counter rrl_dropped;
-    obs::Counter rrl_slipped;
+  struct Counts {
+    std::uint64_t answered = 0;
+    std::uint64_t malformed = 0;
+    std::uint64_t faulted = 0;
+    std::uint64_t rrl_dropped = 0;
+    std::uint64_t rrl_slipped = 0;
+  };
+  static constexpr obs::CounterSpec<Counts> kCounters[] = {
+      {&Counts::answered, "nxd_dns_server_answered_total",
+       "DNS responses sent", "proto", "udp"},
+      {&Counts::malformed, "nxd_dns_server_malformed_total",
+       "Datagrams that failed to parse", "proto", "udp"},
+      {&Counts::faulted, "nxd_dns_server_faulted_total",
+       "Inbound datagrams eaten by the fault stage", "proto", "udp"},
+      {&Counts::rrl_dropped, "nxd_dns_server_rrl_dropped_total",
+       "Responses discarded by RRL", "proto", "udp"},
+      {&Counts::rrl_slipped, "nxd_dns_server_rrl_slipped_total",
+       "Responses slipped (TC=1) by RRL", "proto", "udp"},
   };
 
   UdpDnsServer(net::UdpSocket socket, const AuthoritativeServer& auth)
@@ -83,12 +97,8 @@ class UdpDnsServer {
   net::FaultPlan* fault_plan_ = nullptr;
   ResponseRateLimiter* rrl_ = nullptr;
   const util::SimClock* rrl_clock_ = nullptr;
-  std::uint64_t answered_ = 0;
-  std::uint64_t malformed_ = 0;
-  std::uint64_t faulted_ = 0;
-  std::uint64_t rrl_dropped_ = 0;
-  std::uint64_t rrl_slipped_ = 0;
-  Metrics m_;
+  obs::StatsCounters<Counts, kCounters> counters_;
+  const Counts& counts() const noexcept { return counters_.stats(); }
 };
 
 /// One-shot client helper: send `query` to `server` over UDP and wait up to

@@ -181,6 +181,15 @@ TEST(AmplificationReconciliation, SharedRegistryAggregatesAcrossThreads) {
   EXPECT_EQ(fetched->counter, fetches);
   EXPECT_EQ(sends->counter, 3 * walks);
   EXPECT_EQ(a.network.delivered() + b.network.delivered(), 3 * walks);
+
+  // Each resolver's stats() is its own count; the shared series is the sum.
+  const auto& sa = a.resolver.stats();
+  const auto& sb = b.resolver.stats();
+  EXPECT_EQ(sa.client_queries, q);
+  EXPECT_EQ(sb.client_queries, q);
+  EXPECT_EQ(sa.client_queries + sb.client_queries, clients->counter);
+  EXPECT_EQ(sa.upstream_sends + sb.upstream_sends, sends->counter);
+  EXPECT_EQ(sa.delegation_fetches + sb.delegation_fetches, fetched->counter);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Overload-resilience suite: util::TokenBucket / util::DeadlineQueue
 // primitives, the honeypot ConnectionGate (admission, per-IP rate limiting,
 // slowloris deadlines, graceful drain), DNS response rate limiting on the
-// UDP/TCP front ends, the bounded rDNS cache, and the load-snapshot codec.
+// UDP/TCP front ends, the bounded rDNS cache, and the gate's counter model
+// (per-instance stats mirrored into a shared registry).
 //
 // The chaos harnesses at the bottom are the ISSUE's contract: a seeded
 // flood and a slowloris barrage over simulated time must produce
@@ -367,6 +368,9 @@ honeypot::OverloadStats run_flood(std::uint64_t seed, std::string* snapshot) {
   guard.per_ip_rate = 2;
   guard.per_ip_burst = 4;
   server.enable_overload(guard);
+  obs::MetricsRegistry registry;
+  server.gate()->bind_metrics(registry);
+  recorder.bind_metrics(registry);
 
   util::SimClock clock;
   util::Rng rng(seed);
@@ -399,14 +403,7 @@ honeypot::OverloadStats run_flood(std::uint64_t seed, std::string* snapshot) {
   clock.advance(100);
   server.reap_expired(clock.now());
 
-  if (snapshot != nullptr) {
-    honeypot::LoadSnapshot snap;
-    snap.add_overload("honeypot", server.gate()->stats());
-    snap.add("recorder.records", recorder.total());
-    snap.add("recorder.shed", recorder.shed_connections());
-    snap.add("recorder.expired", recorder.expired_connections());
-    *snapshot = snap.to_text();
-  }
+  if (snapshot != nullptr) *snapshot = registry.snapshot().to_text();
   return server.gate()->stats();
 }
 
@@ -432,30 +429,29 @@ TEST(Flood, TenTimesOverloadShedsAreByteReproducible) {
   EXPECT_EQ(other.opened, other.accepted + other.shed_total());
 }
 
-// --------------------------------------------------------- load snapshot
+// ---------------------------------------------------- shared registry
 
-TEST(LoadSnapshot, RoundTripsAndRejectsJunk) {
-  honeypot::LoadSnapshot snapshot;
-  honeypot::OverloadStats stats;
-  stats.opened = 10;
-  stats.accepted = 7;
-  stats.shed_rate = 3;
-  snapshot.add_overload("honeypot", stats);
-  snapshot.add("rrl.dropped", 42);
+// Two gates bound to one registry: each gate's stats() is its own count,
+// and the shared series is their sum.
+TEST(ConnectionGate, SharedRegistrySumsPerInstanceStats) {
+  obs::MetricsRegistry registry;
+  honeypot::ConnectionGate a;
+  honeypot::ConnectionGate b;
+  a.open(dns::IPv4::from_octets(192, 0, 2, 1), 0);  // counted before bind
+  a.bind_metrics(registry);
+  b.bind_metrics(registry);
+  for (int i = 0; i < 3; ++i) a.open(dns::IPv4::from_octets(192, 0, 2, 1), 1);
+  for (int i = 0; i < 5; ++i) b.open(dns::IPv4::from_octets(192, 0, 2, 2), 1);
 
-  const auto text = snapshot.to_text();
-  const auto parsed = honeypot::LoadSnapshot::parse(text);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->counters.size(), snapshot.counters.size());
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    EXPECT_EQ(parsed->counters[i], snapshot.counters[i]);
-  }
-
-  EXPECT_FALSE(honeypot::LoadSnapshot::parse("").has_value());
-  EXPECT_FALSE(honeypot::LoadSnapshot::parse("not a snapshot\n").has_value());
-  EXPECT_FALSE(
-      honeypot::LoadSnapshot::parse("nxd-load-snapshot v1\nbad line\n")
-          .has_value());
+  EXPECT_EQ(a.stats().opened, 4u);
+  EXPECT_EQ(b.stats().opened, 5u);
+  const auto snapshot = registry.snapshot();
+  const auto* opened = snapshot.find("nxd_honeypot_conns_opened_total");
+  ASSERT_NE(opened, nullptr);
+  EXPECT_EQ(opened->counter, a.stats().opened + b.stats().opened);
+  const auto* active = snapshot.find("nxd_honeypot_active_connections");
+  ASSERT_NE(active, nullptr);
+  EXPECT_EQ(active->gauge, static_cast<std::int64_t>(a.active() + b.active()));
 }
 
 // ------------------------------------------------------------ DNS RRL

@@ -147,6 +147,29 @@ TEST(SpanReconciliation, RootNamesSeparateTraceIdsForOverlappingKeys) {
   EXPECT_NE(ckpt.trace, query.trace);
 }
 
+TEST(SpanReconciliation, InstancesSeparateTraceIdsForOverlappingKeys) {
+  // Two instances of one component (two resolvers on one tracer) number
+  // their work alike under one root name.  The first keeps the plain ids,
+  // a later one mixes in its ordinal; the sampling decision is the key's.
+  obs::SpanTracer::Config config;
+  config.sample_rate = 0.5;
+  obs::SpanTracer spans(config);
+  EXPECT_EQ(spans.attach("resolver"), 0u);
+  EXPECT_EQ(spans.attach("resolver"), 1u);
+  EXPECT_EQ(spans.attach("net"), 0u);
+  std::uint64_t sampled = 0;
+  for (std::uint64_t key = 1; key <= 1'000; ++key) {
+    const std::uint64_t first = spans.trace_id_for(key, "resolve", 0);
+    const std::uint64_t second = spans.trace_id_for(key, "resolve", 1);
+    EXPECT_EQ(first, spans.trace_id_for(key, "resolve"));
+    EXPECT_EQ(first == 0, second == 0);
+    if (first == 0) continue;
+    ++sampled;
+    EXPECT_NE(first, second);
+  }
+  EXPECT_GT(sampled, 0u);
+}
+
 TEST(SpanNesting, ChildrenLieInsideTheirParents) {
   InstrumentedRun run(5, 100, 200, 1.0);
   const auto finished = run.spans->finished();

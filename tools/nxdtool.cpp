@@ -16,9 +16,9 @@
 //                                replay + fresh checkpoint) and print stats
 //   fsck <dir>                   read-only health report of a durable
 //                                ingest directory
-//   loadstats <file>             pretty-print an overload load snapshot
-//                                (written by bench/overload_shed or the
-//                                nx_pipeline --max-conns/--rate-limit run)
+//   loadstats <file>             counters of an overload metrics snapshot
+//                                plus derived accept/shed/reap rates
+//                                (written by bench/overload_shed --snapshot)
 //   metrics <file>               re-render a metrics snapshot (written by
 //                                nx_pipeline --metrics-out) as Prometheus
 //                                exposition text — the same bytes the live
@@ -54,7 +54,6 @@
 #include "dns/punycode.hpp"
 #include "honeypot/capture_log.hpp"
 #include "honeypot/categorizer.hpp"
-#include "honeypot/overload.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/slo.hpp"
@@ -84,7 +83,8 @@ int usage() {
                "  resolve <domain>...         resolve against the demo hierarchy\n"
                "  recover <dir>               recover + compact a durable ingest dir\n"
                "  fsck <dir>                  read-only durable-dir health report\n"
-               "  loadstats <file>            pretty-print an overload load snapshot\n"
+               "  loadstats <file>            counters + accept/shed/reap rates of an\n"
+               "                              overload metrics snapshot\n"
                "  metrics <file>              render a metrics snapshot as Prometheus text\n"
                "  health <file>               per-upstream SRTT / breaker / hedge stats\n"
                "                              from a metrics snapshot\n"
@@ -418,65 +418,72 @@ int cmd_fsck(int argc, char** argv) {
 
 }  // namespace
 
+/// Read and parse an "nxd-metrics v1" snapshot, reporting failures.
+std::optional<obs::MetricsSnapshot> read_snapshot(const char* path) {
+  const auto text = read_file(path);
+  if (!text) {
+    std::fprintf(stderr, "nxdtool: cannot read %s\n", path);
+    return std::nullopt;
+  }
+  obs::MetricsSnapshot snapshot;
+  std::string error;
+  if (!obs::MetricsSnapshot::parse(*text, &snapshot, &error)) {
+    std::fprintf(stderr, "nxdtool: %s is not a metrics snapshot: %s\n", path,
+                 error.c_str());
+    return std::nullopt;
+  }
+  return snapshot;
+}
+
 int cmd_loadstats(int argc, char** argv) {
   if (argc != 1) return usage();
-  const auto text = read_file(argv[0]);
-  if (!text) {
-    std::fprintf(stderr, "nxdtool: cannot read %s\n", argv[0]);
-    return 1;
-  }
-  const auto snapshot = honeypot::LoadSnapshot::parse(*text);
-  if (!snapshot) {
-    std::fprintf(stderr, "nxdtool: %s is not a load snapshot\n", argv[0]);
-    return 1;
-  }
-  std::printf("load snapshot: %s (%zu counters)\n", argv[0],
-              snapshot->counters.size());
-  const auto value_of =
-      [&snapshot](std::string_view name) -> std::uint64_t {
-    for (const auto& [counter, value] : snapshot->counters) {
-      if (counter == name) return value;
+  const auto snapshot = read_snapshot(argv[0]);
+  if (!snapshot) return 1;
+  // A counter family summed over every label set (e.g. each shed reason).
+  const auto total = [&snapshot](std::string_view name) {
+    std::uint64_t sum = 0;
+    for (const auto& s : snapshot->series) {
+      if (s.type == obs::MetricType::Counter && s.name == name) sum += s.counter;
     }
-    return 0;
+    return sum;
   };
-  for (const auto& [name, value] : snapshot->counters) {
-    std::printf("  %-36s %s\n", name.c_str(),
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  for (const auto& s : snapshot->series) {
+    if (s.type != obs::MetricType::Counter) continue;
+    std::string label = s.name;
+    for (std::size_t i = 0; i < s.labels.size(); ++i) {
+      label += (i == 0 ? "{" : ",") + s.labels[i].first + "=" +
+               s.labels[i].second;
+    }
+    if (!s.labels.empty()) label += "}";
+    counters.emplace_back(std::move(label), s.counter);
+  }
+  std::printf("load snapshot: %s (%zu counters)\n", argv[0], counters.size());
+  for (const auto& [name, value] : counters) {
+    std::printf("  %-58s %s\n", name.c_str(),
                 util::with_commas(value).c_str());
   }
-  // Derived health lines for the conventional honeypot.* prefix the bench
-  // and pipeline emit.
-  const auto opened = value_of("honeypot.opened");
+  const auto opened = total("nxd_honeypot_conns_opened_total");
   if (opened > 0) {
-    const auto shed = value_of("honeypot.shed_capacity") +
-                      value_of("honeypot.shed_rate") +
-                      value_of("honeypot.shed_draining");
-    const auto expired = value_of("honeypot.expired_header") +
-                         value_of("honeypot.expired_body") +
-                         value_of("honeypot.expired_idle");
+    const auto accepted = total("nxd_honeypot_conns_accepted_total");
     std::printf("derived:\n");
-    std::printf("  accept rate  %s\n",
-                util::pct_str(value_of("honeypot.accepted"), opened).c_str());
-    std::printf("  shed rate    %s\n", util::pct_str(shed, opened).c_str());
+    std::printf("  accept rate  %s\n", util::pct_str(accepted, opened).c_str());
+    std::printf("  shed rate    %s\n",
+                util::pct_str(total("nxd_honeypot_conns_shed_total"), opened)
+                    .c_str());
     std::printf("  reap rate    %s (of accepted)\n",
-                util::pct_str(expired, value_of("honeypot.accepted")).c_str());
+                util::pct_str(total("nxd_honeypot_conns_expired_total"),
+                              accepted)
+                    .c_str());
   }
   return 0;
 }
 
 int cmd_health(int argc, char** argv) {
   if (argc != 1) return usage();
-  const auto text = read_file(argv[0]);
-  if (!text) {
-    std::fprintf(stderr, "nxdtool: cannot read %s\n", argv[0]);
-    return 1;
-  }
-  obs::MetricsSnapshot snapshot;
-  std::string error;
-  if (!obs::MetricsSnapshot::parse(*text, &snapshot, &error)) {
-    std::fprintf(stderr, "nxdtool: %s is not a metrics snapshot: %s\n",
-                 argv[0], error.c_str());
-    return 1;
-  }
+  const auto parsed = read_snapshot(argv[0]);
+  if (!parsed) return 1;
+  const obs::MetricsSnapshot& snapshot = *parsed;
   const auto counter = [&snapshot](const char* name,
                                    const obs::LabelSet& labels =
                                        {}) -> std::uint64_t {
@@ -659,19 +666,9 @@ int cmd_top(int argc, char** argv) {
 
 int cmd_metrics(int argc, char** argv) {
   if (argc != 1) return usage();
-  const auto text = read_file(argv[0]);
-  if (!text) {
-    std::fprintf(stderr, "nxdtool: cannot read %s\n", argv[0]);
-    return 1;
-  }
-  obs::MetricsSnapshot snapshot;
-  std::string error;
-  if (!obs::MetricsSnapshot::parse(*text, &snapshot, &error)) {
-    std::fprintf(stderr, "nxdtool: %s is not a metrics snapshot: %s\n",
-                 argv[0], error.c_str());
-    return 1;
-  }
-  std::fputs(obs::render_prometheus(snapshot).c_str(), stdout);
+  const auto snapshot = read_snapshot(argv[0]);
+  if (!snapshot) return 1;
+  std::fputs(obs::render_prometheus(*snapshot).c_str(), stdout);
   return 0;
 }
 
