@@ -10,6 +10,7 @@
 #include "pdns/store.hpp"
 #include "resolver/recursive.hpp"
 #include "squat/detector.hpp"
+#include "squat/generators.hpp"
 #include "synth/scale_models.hpp"
 #include "synth/table1.hpp"
 #include "synth/traffic_model.hpp"
@@ -116,6 +117,26 @@ void BM_SquatClassify(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SquatClassify);
+
+// BM_SquatClassify's model names are mostly clean; this times the names the
+// cascade attributes: every generator's output for every default target.
+void BM_SquatClassifyHits(benchmark::State& state) {
+  const auto detector = squat::SquatDetector::with_defaults();
+  std::vector<dns::DomainName> corpus;
+  for (const auto& target : squat::default_targets()) {
+    for (const auto type : squat::kAllSquatTypes) {
+      for (auto& name : squat::generate(type, target)) corpus.push_back(name);
+    }
+    for (auto& name : squat::generate_idn_homos(target)) corpus.push_back(name);
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.classify(corpus[i]));
+    if (++i == corpus.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SquatClassifyHits);
 
 void BM_HttpParse(benchmark::State& state) {
   const std::string request =

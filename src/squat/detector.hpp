@@ -5,11 +5,24 @@
 // Precedence mirrors specificity: dot and bit patterns are exact structural
 // matches and are tested first; homoglyph next; generic distance-1 typos
 // after; combosquatting (substring + keyword) last, because every more
-// specific class would otherwise also match it.
+// specific class would otherwise also match it.  Within a type the first
+// matching target in list order wins.
+//
+// Every test is a lookup in an index built once in the constructor, so a
+// name costs a few hash probes and one pass over its label, whatever the
+// number of targets.  Each index maps a key to the ascending indices of the
+// targets it may match; a probe walks that list and confirms each candidate
+// with the exact per-type test, so the first confirmed index is the one a
+// scan over the targets in list order would return.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "squat/generators.hpp"
 
@@ -37,15 +50,43 @@ class SquatDetector {
   const std::vector<Target>& targets() const noexcept { return targets_; }
 
  private:
-  bool is_bitsquat(const std::string& label, const std::string& brand) const;
-  bool is_homosquat(const std::string& label, const std::string& brand) const;
-  bool is_typosquat(const std::string& label, const std::string& brand) const;
-  bool is_combosquat(const std::string& label, const std::string& brand) const;
-  std::optional<const Target*> dot_target(const dns::DomainName& name) const;
+  struct StringHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  template <typename V>
+  using StringMap =
+      std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+  /// Key -> indices into targets_, ascending.
+  using Index = StringMap<std::vector<std::uint32_t>>;
+
+  /// Each returns the lowest index of a target the label (or name) squats
+  /// in that way, if any.
+  std::optional<std::uint32_t> dot_match(const dns::DomainName& name) const;
+  std::optional<std::uint32_t> bit_match(std::string_view label) const;
+  std::optional<std::uint32_t> homo_match(std::string_view label) const;
+  std::optional<std::uint32_t> typo_match(std::string_view label) const;
+  std::optional<std::uint32_t> combo_match(std::string_view label) const;
+  /// The combo test once `brand_size` bytes at `pos` matched a brand: what
+  /// is left, minus hyphens, is all digits or one edit from a keyword.
+  bool combo_rest_matches(std::string_view label, std::size_t pos,
+                          std::size_t brand_size) const;
 
   std::vector<Target> targets_;
-  // brand -> target index, for O(1) exact-brand rejects.
-  std::unordered_map<std::string, std::size_t> brand_index_;
+  // brand -> first target index, for exact-brand rejects and IDN matches.
+  StringMap<std::size_t> brand_index_;
+  Index www_dot_index_;    // "www" + brand, for 2-label names
+  Index split_dot_index_;  // brand, for names of 3 or more labels
+  // The indexes below hold only brands of at least 4 chars: shorter ones
+  // are too short to attribute reliably except as dot squats.
+  Index bit_index_;        // every single-bit flip of the brand
+  Index homo_index_;       // the brand and its confusable fold
+  Index typo_index_;       // the brand and each of its 1-deletions
+  // First four bytes of the brand -> targets; the combo substring pass.
+  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> combo_index_;
+  std::vector<std::string> folded_keywords_;
 };
 
 /// Canonicalize ASCII homoglyphs ("g00gle" -> "google", "rnicrosoft" ->

@@ -116,6 +116,20 @@ std::size_t damerau_distance(std::string_view a, std::string_view b) {
   return d[n][m];
 }
 
+bool within_one_edit(std::string_view a, std::string_view b) noexcept {
+  if (a.size() < b.size()) std::swap(a, b);
+  if (a.size() - b.size() > 1) return false;
+  std::size_t i = 0;
+  while (i < b.size() && a[i] == b[i]) ++i;
+  if (i == b.size()) return true;  // equal, or a is b plus one trailing byte
+  if (a.size() != b.size()) return a.substr(i + 1) == b.substr(i);
+  // Same length, first mismatch at i: one substitution, or a transposition
+  // of positions i and i+1.
+  if (a.substr(i + 1) == b.substr(i + 1)) return true;
+  return i + 1 < a.size() && a[i] == b[i + 1] && a[i + 1] == b[i] &&
+         a.substr(i + 2) == b.substr(i + 2);
+}
+
 std::string url_decode(std::string_view s) {
   auto hex_val = [](char c) -> int {
     if (c >= '0' && c <= '9') return c - '0';

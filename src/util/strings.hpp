@@ -50,6 +50,11 @@ std::size_t edit_distance(std::string_view a, std::string_view b,
 /// count as one edit) — the distance typo generators actually induce.
 std::size_t damerau_distance(std::string_view a, std::string_view b);
 
+/// True iff damerau_distance(a, b) <= 1: equal, or one insertion, deletion,
+/// substitution or adjacent transposition apart.  Allocation-free; the
+/// squat detector's typo and combo checks call it per candidate.
+bool within_one_edit(std::string_view a, std::string_view b) noexcept;
+
 /// Percent-decode a URI component; invalid escapes are passed through.
 std::string url_decode(std::string_view s);
 

@@ -1,11 +1,17 @@
 // Unit tests for nxd::squat — generators, detector, and round-trip
-#include <set>
 // properties (everything a generator emits must be detected as a squat of
-// the right type against the same target list).
+// the right type against the same target list), plus a differential check
+// of the indexed detector against the slow reference in squat_reference.hpp.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <set>
 
 #include "squat/detector.hpp"
 #include "squat/generators.hpp"
+#include "squat_reference.hpp"
+#include "synth/scale_models.hpp"
+#include "util/rng.hpp"
 #include "util/strings.hpp"
 
 namespace nxd::squat {
@@ -247,6 +253,219 @@ TEST(Detector, ShortBrandsNeedExactStructure) {
   // (noise would overwhelm signal).
   const SquatDetector detector(targets_from({"qq.com"}));
   EXPECT_FALSE(detector.classify(dns::DomainName::must("qa.com")).has_value());
+}
+
+// ------------------------------------------- differential vs the reference
+
+constexpr const char* kTlds[] = {"com", "net", "org", "ru", "tv", "us"};
+
+void push_name(std::vector<DomainName>& corpus, const std::string& text) {
+  if (auto name = DomainName::parse(text)) corpus.push_back(*std::move(name));
+}
+
+/// Every generator's output for every target, plus the targets themselves.
+std::vector<DomainName> generator_corpus(const std::vector<Target>& targets) {
+  std::vector<DomainName> corpus;
+  for (const auto& target : targets) {
+    corpus.push_back(target.domain);
+    for (const auto type : kAllSquatTypes) {
+      for (auto& name : generate(type, target)) corpus.push_back(name);
+    }
+    for (auto& name : generate_idn_homos(target)) corpus.push_back(name);
+  }
+  return corpus;
+}
+
+/// Random insert / delete / substitute / transpose edits (one or two) of
+/// random brands, under the brand's own TLD or one of kTlds.
+std::vector<DomainName> edit_corpus(const std::vector<Target>& targets,
+                                    std::uint64_t seed, std::size_t n) {
+  static constexpr std::string_view kAlphabet =
+      "abcdefghijklmnopqrstuvwxyz0123456789-";
+  util::Rng rng(seed);
+  const auto pick = [&] { return kAlphabet[rng.bounded(kAlphabet.size())]; };
+  std::vector<DomainName> corpus;
+  while (corpus.size() < n) {
+    const auto& target = targets[rng.bounded(targets.size())];
+    std::string label = target.brand;
+    for (std::uint64_t e = 0, edits = 1 + rng.bounded(2); e < edits; ++e) {
+      const std::size_t pos = rng.bounded(label.size() + 1);
+      switch (rng.bounded(4)) {
+        case 0: label.insert(label.begin() + pos, pick()); break;
+        case 1:
+          if (pos < label.size()) label.erase(pos, 1);
+          break;
+        case 2:
+          if (pos < label.size()) label[pos] = pick();
+          break;
+        default:
+          if (pos + 1 < label.size()) std::swap(label[pos], label[pos + 1]);
+          break;
+      }
+    }
+    const std::string tld = rng.bounded(2) == 0
+                                ? std::string(target.domain.tld())
+                                : kTlds[rng.bounded(std::size(kTlds))];
+    push_name(corpus, label + "." + tld);
+  }
+  return corpus;
+}
+
+/// Brand plus keyword (sometimes misspelt) or digits, either order, with
+/// and without a hyphen, across kTlds.
+std::vector<DomainName> combo_corpus(const std::vector<Target>& targets,
+                                     std::uint64_t seed, std::size_t n) {
+  util::Rng rng(seed);
+  const auto& keywords = combo_keywords();
+  std::vector<DomainName> corpus;
+  while (corpus.size() < n) {
+    const auto& brand = targets[rng.bounded(targets.size())].brand;
+    std::string token;
+    if (rng.bounded(4) == 0) {
+      token = std::to_string(rng.bounded(10'000));
+    } else {
+      token = keywords[rng.bounded(keywords.size())];
+      if (rng.bounded(3) == 0) {
+        token[rng.bounded(token.size())] = "0135ilrnx-"[rng.bounded(10)];
+      }
+    }
+    const std::string joint = rng.bounded(2) == 0 ? "-" : "";
+    const std::string label =
+        rng.bounded(2) == 0 ? brand + joint + token : token + joint + brand;
+    push_name(corpus, label + "." + kTlds[rng.bounded(std::size(kTlds))]);
+  }
+  return corpus;
+}
+
+/// One-label names, "www" glue, and brands split over three or more labels.
+std::vector<DomainName> label_count_corpus(const std::vector<Target>& targets,
+                                           std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<DomainName> corpus;
+  for (const auto& target : targets) {
+    const std::string& brand = target.brand;
+    const std::string tld(target.domain.tld());
+    const std::string other = kTlds[rng.bounded(std::size(kTlds))];
+    for (const auto& text :
+         {brand, tld, "www" + brand + "." + tld, "www" + brand + "." + other,
+          "www." + brand + "." + tld, "www.www" + brand + "." + tld,
+          "a.b." + brand + "." + tld, brand + "." + brand + "." + tld}) {
+      push_name(corpus, text);
+    }
+    for (std::size_t cut = 1; cut < brand.size(); ++cut) {
+      const std::string head = brand.substr(0, cut);
+      const std::string tail = brand.substr(cut);
+      push_name(corpus, head + "." + tail + "." + tld);
+      push_name(corpus, head + "." + tail + "." + other);
+      const std::size_t cut2 = 1 + rng.bounded(tail.size());
+      if (cut2 < tail.size()) {
+        push_name(corpus, head + "." + tail.substr(0, cut2) + "." +
+                              tail.substr(cut2) + "." + tld);
+      }
+    }
+  }
+  return corpus;
+}
+
+/// Seeded NXDomain-model names: never-registered and registrable streams.
+std::vector<DomainName> model_corpus(std::uint64_t seed, std::size_t n) {
+  const synth::NxDomainNameModel model(seed);
+  util::Rng rng(seed);
+  std::vector<DomainName> corpus;
+  for (std::size_t i = 0; i < n; ++i) {
+    corpus.push_back(i % 2 == 0 ? model.next(rng)
+                                : model.next_registrable(rng));
+  }
+  return corpus;
+}
+
+/// Classifies the corpus with both detectors; fails on any (type, target)
+/// difference and returns the reference's verdict counts per type (index
+/// 5 counts names it clears).
+std::array<std::size_t, 6> expect_same_verdicts(
+    const std::vector<Target>& targets, const std::vector<DomainName>& corpus) {
+  const SquatDetector fast(targets);
+  const ReferenceSquatDetector slow(targets);
+  std::array<std::size_t, 6> counts{};
+  std::size_t mismatches = 0;
+  for (const auto& name : corpus) {
+    const auto got = fast.classify(name);
+    const auto want = slow.classify(name);
+    ++counts[want ? static_cast<std::size_t>(want->type) : 5];
+    const bool same = got.has_value() == want.has_value() &&
+                      (!got || (got->type == want->type &&
+                                got->target == want->target));
+    if (same) continue;
+    ++mismatches;
+    if (mismatches <= 20) {
+      ADD_FAILURE() << name.to_string() << ": got "
+                    << (got ? to_string(got->type) + " of " +
+                                  got->target.to_string()
+                            : "clean")
+                    << ", reference "
+                    << (want ? to_string(want->type) + " of " +
+                                   want->target.to_string()
+                             : "clean");
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << corpus.size() << " names";
+  return counts;
+}
+
+std::vector<DomainName> concat(std::vector<std::vector<DomainName>> parts) {
+  std::vector<DomainName> out;
+  for (auto& part : parts) {
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
+  }
+  return out;
+}
+
+TEST(DetectorDifferential, DefaultTargetsMatchReference) {
+  const auto& targets = default_targets();
+  const auto corpus = concat({generator_corpus(targets),
+                              edit_corpus(targets, 11, 6'000),
+                              combo_corpus(targets, 12, 4'000),
+                              label_count_corpus(targets, 13),
+                              model_corpus(14, 6'000)});
+  const auto counts = expect_same_verdicts(targets, corpus);
+  // Every verdict of the cascade, and clean names, are exercised.
+  for (const std::size_t n : counts) EXPECT_GE(n, 100u);
+}
+
+TEST(DetectorDifferential, CustomTargetsMatchReference) {
+  // One brand under two TLDs, brands under 4 chars, two brands with the
+  // same fold (rnail/mail), two brands one bit apart (abcd/abce), a brand
+  // that starts with "www", and one a keyword extends ("stor" of "store").
+  const auto targets = targets_from(
+      {"google.com", "google.net", "qq.com", "vk.com", "ab.org", "rnail.com",
+       "mail.com", "abcd.com", "abce.com", "paypal.com", "wwwfoo.com",
+       "foo.com", "paypal.org", "amazon.tv", "stor.net"});
+  // A combo is judged where the brand first occurs: "storestor" leaves
+  // "estor" there, not a keyword, though its second "stor" leaves "store".
+  std::vector<DomainName> first_occurrence;
+  for (const char* text : {"storestor.net", "stor-e-stor.net", "storstore.net",
+                           "mailxmail.com", "paypal1paypal.com"}) {
+    push_name(first_occurrence, text);
+  }
+  const auto corpus = concat({std::move(first_occurrence),
+                              generator_corpus(targets),
+                              edit_corpus(targets, 21, 3'000),
+                              combo_corpus(targets, 22, 2'000),
+                              label_count_corpus(targets, 23),
+                              model_corpus(24, 1'000)});
+  const auto counts = expect_same_verdicts(targets, corpus);
+  for (const std::size_t n : counts) EXPECT_GE(n, 20u);
+}
+
+TEST(DetectorDifferential, FoldMatchesReference) {
+  util::Rng rng(31);
+  static constexpr std::string_view kAlphabet = "rnvcl01i3589dmwo-ab";
+  for (int i = 0; i < 20'000; ++i) {
+    std::string s(rng.bounded(12), 'a');
+    for (auto& c : s) c = kAlphabet[rng.bounded(kAlphabet.size())];
+    ASSERT_EQ(fold_confusables(s), reference_fold_confusables(s)) << s;
+  }
 }
 
 }  // namespace

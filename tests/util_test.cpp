@@ -256,6 +256,28 @@ TEST(Strings, EditDistanceBound) {
   EXPECT_EQ(edit_distance("abc", "abd", 1), 1u);
 }
 
+TEST(Strings, WithinOneEditMatchesDamerauExhaustively) {
+  // Every string of length 0..5 over {a, b, c}: 364 strings, 132,496 pairs.
+  std::vector<std::string> all = {""};
+  for (std::size_t begin = 0, len = 1; len <= 5; ++len) {
+    const std::size_t end = all.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      for (const char c : {'a', 'b', 'c'}) all.push_back(all[i] + c);
+    }
+    begin = end;
+  }
+  ASSERT_EQ(all.size(), 364u);
+  std::size_t mismatches = 0;
+  for (const auto& a : all) {
+    for (const auto& b : all) {
+      if (within_one_edit(a, b) != (damerau_distance(a, b) <= 1)) {
+        ADD_FAILURE() << "'" << a << "' vs '" << b << "'";
+        if (++mismatches > 10) return;
+      }
+    }
+  }
+}
+
 TEST(Strings, UrlDecode) {
   EXPECT_EQ(url_decode("a%20b"), "a b");
   EXPECT_EQ(url_decode("%2B1555"), "+1555");
